@@ -74,10 +74,12 @@ def space_section(context) -> dict:
     """The ``space`` section: bits per completed triple for each tier.
 
     Audits the built ring with the space-audit plane
-    (:mod:`repro.obs.space`), the sparse-matrix backend when scipy is
-    available, and the snapshot segment layout (from the manifest, no
-    live segment needed) — making space regressions visible in the
-    trajectory exactly like latency regressions.
+    (:mod:`repro.obs.space`), the sparse-matrix backend's block cache
+    when scipy is available (cold, as this run's queries left it, and
+    fully decoded — its upper bound, the headline), and the snapshot
+    segment layout (from the manifest, no live segment needed) —
+    making space regressions visible in the trajectory exactly like
+    latency regressions.
     """
     from repro.errors import ConstructionError
     from repro.ring.snapshot import snapshot_index
@@ -108,8 +110,16 @@ def space_section(context) -> dict:
     except (ImportError, ConstructionError):
         store = None
     if store is not None:
-        section["matrix"] = tier(store.measure("matrix").nbytes)
-    manifest, _ = snapshot_index(index, include_matrices=store is not None)
+        resident = store.measure("matrix")
+        section["matrix"] = {
+            **tier(store.decode_all().measure().nbytes),
+            "cold": tier(PredicateMatrices(index.ring).measure().nbytes),
+            "resident": {
+                **tier(resident.nbytes),
+                "decoded_blocks": resident.detail["decoded"],
+            },
+        }
+    manifest, _ = snapshot_index(index)
     section["snapshot"] = {
         **tier(manifest["total_bytes"]),
         "buffers": len(manifest["buffers"]),
@@ -135,6 +145,7 @@ def _carry_history(old_report: "dict | None") -> "list[dict]":
     tails = overall.get("percentiles") or {}
     meta = old_report.get("meta") or {}
     space = old_report.get("space") or {}
+    matrix = space.get("matrix") or {}
     history.append({
         "label": meta.get("label"),
         "count": overall.get("count"),
@@ -145,6 +156,13 @@ def _carry_history(old_report: "dict | None") -> "list[dict]":
         "ring_bits_per_triple": (space.get("ring") or {}).get(
             "bits_per_triple"
         ),
+        "snapshot_bits_per_triple": (space.get("snapshot") or {}).get(
+            "bits_per_triple"
+        ),
+        "matrix_cold_bits_per_triple": (matrix.get("cold") or {}).get(
+            "bits_per_triple"
+        ),
+        "matrix_decoded_bits_per_triple": matrix.get("bits_per_triple"),
     })
     return history[-HISTORY_LIMIT:]
 

@@ -175,8 +175,10 @@ def cmd_space(args: argparse.Namespace) -> int:
     """The ``repro space`` report: bit-level space audit of every tier.
 
     Audits the built ring (per-column, per-level breakdown), the sparse
-    backend when scipy is available, and the snapshot-segment layout,
-    then cross-checks the serving form: a ring *attached* over the
+    backend's block cache when scipy is available — cold, as a service
+    starts with it, and fully decoded, its upper bound — and the
+    snapshot-segment layout (the ring's buffers, nothing else), then
+    cross-checks the serving form: a ring *attached* over the
     snapshot payload must audit within a few percent of the segment's
     byte size (the delta is the segment's int64-widened rank
     directories vs the built ring's uint32 ones, plus alignment
@@ -189,18 +191,18 @@ def cmd_space(args: argparse.Namespace) -> int:
         snapshot_index
 
     index = _load_index(args.graph, args.symmetric)
+    n = len(index.ring)
+    matrix_cold = None
     try:
         from repro.matrix.matrices import PredicateMatrices
-
-        PredicateMatrices.from_index(index)
     except ImportError:
         pass
-    n = len(index.ring)
+    else:
+        store = PredicateMatrices.from_index(index)
+        matrix_cold = store.measure("matrix")
+        store.decode_all()
     root = audit_index(index)
-    # Ring-only snapshot: the segment the attached ring is checked
-    # against must hold exactly the ring's buffers (the matrix tier is
-    # audited from the index tree above).
-    manifest, buffers = snapshot_index(index, include_matrices=False)
+    manifest, buffers = snapshot_index(index)
     snap = audit_manifest(manifest)
     # Attach a view-backed ring over the snapshot payload: its audit is
     # the serving tier's in-memory form, directly comparable to the
@@ -223,6 +225,7 @@ def cmd_space(args: argparse.Namespace) -> int:
     }
     matrix_node = root.find("index.matrix")
     if matrix_node is not None:
+        totals["matrix_cold_bytes"] = matrix_cold.nbytes
         totals["matrix_bytes"] = matrix_node.nbytes
         totals["matrix_bits_per_triple"] = matrix_node.bits_per_triple(n)
     if args.json:
@@ -240,8 +243,12 @@ def cmd_space(args: argparse.Namespace) -> int:
     print(f"ring (built)      : {ring_node.nbytes:,} bytes "
           f"({ring_node.bits_per_triple(n):.2f} bits/triple)")
     if matrix_node is not None:
-        print(f"matrix (CSR)      : {matrix_node.nbytes:,} bytes "
-              f"({matrix_node.bits_per_triple(n):.2f} bits/triple)")
+        print(f"matrix (cold)     : {matrix_cold.nbytes:,} bytes "
+              f"({matrix_cold.detail['decoded']} of "
+              f"{matrix_cold.detail['predicates']} blocks decoded)")
+        print(f"matrix (decoded)  : {matrix_node.nbytes:,} bytes "
+              f"({matrix_node.bits_per_triple(n):.2f} bits/triple, all "
+              f"{matrix_node.detail['decoded']} blocks)")
     print(f"snapshot segment  : {segment_bytes:,} bytes "
           f"({snap.bits_per_triple(n):.2f} bits/triple)")
     print(f"ring (attached)   : {attached_ring.nbytes:,} bytes — "

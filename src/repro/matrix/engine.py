@@ -154,7 +154,7 @@ class MatrixRPQEngine:
         return self.index.dictionary
 
     def size_in_bits(self) -> int:
-        """Footprint of the compiled predicate matrices."""
+        """Footprint of the predicate matrices decoded so far."""
         return self.store.size_in_bits()
 
     # ------------------------------------------------------------------

@@ -22,46 +22,45 @@ import scipy.sparse as sp
 
 
 class PredicateMatrices:
-    """The completed graph as one boolean CSR matrix per predicate.
+    """The completed graph as one boolean CSR matrix per predicate — a
+    lazily decoded cache of the ring.
+
+    The store holds no second index: construction is O(|P|) (edge
+    counts are differences of ``C_p``), and :meth:`matrix` decodes a
+    predicate's CSR block out of the ring on first use
+    (:meth:`~repro.ring.ring.Ring.predicate_edges`, ≈ 1 ms) and keeps
+    it.  Nothing is evicted: fully decoded, the cache is exactly the
+    eagerly compiled store it replaces.
 
     Parameters
     ----------
-    num_nodes:
-        The node-id universe; all matrices are ``num_nodes**2`` shaped.
-    triples:
-        Integer ``(subject, predicate, object)`` triples of the
-        *completed* graph (both directions present).
+    ring:
+        The :class:`~repro.ring.ring.Ring` of the *completed* graph
+        (both directions present), built or view-attached.
     """
 
-    def __init__(self, num_nodes: int,
-                 triples: Iterable[tuple[int, int, int]]):
-        self.num_nodes = num_nodes
-        rows: dict[int, list[int]] = {}
-        cols: dict[int, list[int]] = {}
-        for s, p, o in triples:
-            rows.setdefault(p, []).append(s)
-            cols.setdefault(p, []).append(o)
-        shape = (num_nodes, num_nodes)
+    def __init__(self, ring):
+        self.num_nodes = ring.num_nodes
+        self._ring = ring
+        # Decoded once per store (an Elias-Fano array decodes in O(m)
+        # Python steps); a plain boundary array is returned as it is.
+        self._c_p = ring.C_p.to_array()
+        self._c_o = ring.C_o.to_array()
         self._matrices: dict[int, sp.csr_matrix] = {}
-        for pid, r in rows.items():
-            data = np.ones(len(r), dtype=bool)
-            self._matrices[pid] = sp.csr_matrix(
-                (data, (np.asarray(r), np.asarray(cols[pid]))), shape=shape
-            )
 
     @classmethod
     def from_index(cls, index) -> "PredicateMatrices":
-        """Build (or reuse) the matrices of a ring index.
+        """The (memoised) store of a ring index.
 
-        The compiled store is memoised on the index object — the
-        matrix engine, the routed engine and the benchmarks all share
-        one compilation per index, mirroring how the baselines share
-        one :class:`~repro.baselines.base.EncodedGraph`.
+        One store per index object — the matrix engine, the routed
+        engine and the benchmarks all share its decoded blocks,
+        mirroring how the baselines share one
+        :class:`~repro.baselines.base.EncodedGraph`.
         """
         cached = getattr(index, "_matrix_store", None)
         if cached is not None:
             return cached
-        store = cls(index.dictionary.num_nodes, index.ring.iter_triples())
+        store = cls(index.ring)
         index._matrix_store = store
         return store
 
@@ -69,14 +68,39 @@ class PredicateMatrices:
 
     def matrix(self, pid: int) -> "sp.csr_matrix | None":
         """The boolean adjacency of one predicate, or ``None`` when no
-        edge carries it."""
-        return self._matrices.get(pid)
+        edge carries it.
+
+        Decoded on first use.  Concurrent first touches may each
+        decode the block; ``setdefault`` keeps one, and all callers
+        get that same object.
+        """
+        block = self._matrices.get(pid)
+        if block is not None or not self.nnz(pid):
+            return block
+        subjects, objects = self._ring.predicate_edges(pid, self._c_o)
+        # The edges arrive sorted by (object, subject); a stable sort
+        # by subject is the canonical CSR order (rows, then columns).
+        by_row = np.argsort(subjects, kind="stable")
+        indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(subjects, minlength=self.num_nodes),
+                  out=indptr[1:])
+        block = sp.csr_matrix(
+            (np.ones(len(by_row), dtype=bool), objects[by_row], indptr),
+            shape=(self.num_nodes, self.num_nodes),
+        )
+        return self._matrices.setdefault(pid, block)
+
+    def decode_all(self) -> "PredicateMatrices":
+        """Decode every predicate's block (the store's upper bound)."""
+        for pid in self.predicates:
+            self.matrix(pid)
+        return self
 
     def union(self, pids: Iterable[int]) -> "sp.csr_matrix | None":
         """Boolean OR of several predicates' matrices (``None`` when
         none has edges) — the transition-selected matrix of one
         Glushkov state whose atom matches several predicates."""
-        parts = [m for m in (self._matrices.get(p) for p in pids)
+        parts = [m for m in (self.matrix(p) for p in pids)
                  if m is not None]
         if not parts:
             return None
@@ -89,29 +113,31 @@ class PredicateMatrices:
 
     def nnz(self, pid: int) -> int:
         """Edge count of one predicate (the matrix's stored nonzeros)."""
-        m = self._matrices.get(pid)
-        return 0 if m is None else int(m.nnz)
+        if not 0 <= pid < len(self._c_p) - 1:
+            return 0
+        return int(self._c_p[pid + 1] - self._c_p[pid])
 
     @property
     def predicates(self) -> list[int]:
         """Predicate ids that have at least one edge, sorted."""
-        return sorted(self._matrices)
+        return np.flatnonzero(np.diff(self._c_p)).tolist()
 
     def size_in_bits(self) -> int:
-        """Compiled footprint: CSR index arrays plus the bool payload."""
-        total = 0
-        for m in self._matrices.values():
-            total += m.indptr.nbytes + m.indices.nbytes + m.data.nbytes
-        return total * 8
+        """Footprint of the blocks decoded so far: CSR index arrays
+        plus the bool payload."""
+        return 8 * sum(
+            m.indptr.nbytes + m.indices.nbytes + m.data.nbytes
+            for m in self._matrices.values()
+        )
 
     def measure(self, name: str = "matrix"):
-        """Space-audit tree: per-predicate CSR triplets (indptr, indices,
-        data) so the audit can localise which predicates dominate."""
+        """Space-audit tree of the *decoded* blocks: per-predicate CSR
+        triplets (indptr, indices, data), so the audit can localise
+        which predicates dominate.  A cold store measures 0 bytes."""
         from repro.obs.space import SpaceNode
 
         children = []
-        for pid in sorted(self._matrices):
-            m = self._matrices[pid]
+        for pid, m in sorted(self._matrices.items()):
             children.append(
                 SpaceNode(
                     f"p{pid}",
@@ -133,10 +159,11 @@ class PredicateMatrices:
             children=children,
             kind="predicate_matrices",
             detail={"num_nodes": self.num_nodes,
-                    "predicates": len(self._matrices)},
+                    "decoded": len(children),
+                    "predicates": len(self.predicates)},
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        nnz = sum(m.nnz for m in self._matrices.values())
-        return (f"PredicateMatrices({len(self._matrices)} predicates, "
-                f"|V|={self.num_nodes}, nnz={nnz})")
+        return (f"PredicateMatrices({len(self.predicates)} predicates, "
+                f"|V|={self.num_nodes}, nnz={int(self._c_p[-1])}, "
+                f"{len(self._matrices)} decoded)")

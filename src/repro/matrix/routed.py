@@ -39,8 +39,8 @@ from repro.obs.metrics import NULL_METRICS
 class RoutedRPQEngine:
     """Per-query ring/matrix dispatch behind the engine interface.
 
-    Both sub-engines share the index (and therefore the compiled
-    matrix store / prepare caches); metrics and the slow-query log are
+    Both sub-engines share the index (and therefore its matrix
+    store / prepare caches); metrics and the slow-query log are
     threaded through so telemetry attributes each query to the backend
     that actually ran it (``stats.backend`` is stamped by the
     sub-engine).
@@ -173,7 +173,7 @@ class RoutedRPQEngine:
         return plan
 
     def size_in_bits(self) -> int:
-        """Extra footprint over the ring: the compiled matrices."""
+        """Extra footprint over the ring: the matrix blocks decoded so far."""
         return self.matrix_engine.size_in_bits()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

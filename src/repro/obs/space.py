@@ -4,9 +4,10 @@ The source paper's headline claim is *joint* time- and space-efficiency,
 yet PRs 1/3/5/8 instrumented only the time axis.  This module closes the
 gap: every storage structure grows a ``measure()`` hook returning a
 :class:`SpaceNode`, and the helpers here assemble those nodes into typed
-trees covering the built ring, the sparse-matrix backend, snapshot
-segments (manifest layout and live ``/dev/shm`` segments), and the
-serving tier's mutable state (result cache, flight ring, histograms).
+trees covering the built ring, the sparse-matrix backend's cache of
+decoded blocks, snapshot segments (manifest layout and live
+``/dev/shm`` segments), and the serving tier's mutable state (result
+cache, flight ring, histograms).
 
 Design constraints:
 
@@ -248,8 +249,8 @@ def deep_getsizeof(obj: Any, _seen: "set[int] | None" = None) -> int:
 
 def audit_index(index: Any, name: str = "index") -> SpaceNode:
     """Audit a :class:`~repro.ring.builder.RingIndex` (ring + dictionary +
-    any already-compiled sparse backend).  Thin wrapper over the index's
-    own ``measure()`` hook."""
+    the sparse backend's decoded blocks, if it has a store).  Thin
+    wrapper over the index's own ``measure()`` hook."""
     return index.measure(name)
 
 
@@ -257,7 +258,8 @@ def audit_manifest(manifest: "dict[str, Any]", name: str = "snapshot") -> SpaceN
     """Audit a ``ring-snapshot/v1`` manifest's segment layout.
 
     Sums every buffer from its dtype and shape, grouped by top-level
-    component (``lp``, ``ls``, ``c_o``, ``mat``, ...), and accounts the
+    component (``lp``, ``ls``, ``c_o``, ...; ``mat`` in a file written
+    before the matrices left the snapshot), and accounts the
     64-byte alignment padding explicitly so the tree's total equals the
     manifest's ``total_bytes`` *exactly* — the same number a live
     ``/dev/shm`` segment of this snapshot occupies (modulo the kernel's

@@ -208,8 +208,8 @@ class RingIndex:
 
     def measure(self, name: str = "index"):
         """Space-audit tree: ring columns + dictionary, plus the sparse
-        backend when it has already been compiled for this index (the
-        audit never forces a compile)."""
+        backend's block cache when one hangs off this index — the
+        blocks decoded so far; the audit never decodes one."""
         from repro.obs.space import SpaceNode
 
         children = [

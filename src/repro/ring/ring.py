@@ -98,7 +98,11 @@ class BoundaryArray:
         return self._ef.successor_index(position + 1) - 1
 
     def to_array(self) -> np.ndarray:
-        """Decode to a plain int64 numpy array (for persistence)."""
+        """Decode to a plain int64 numpy array (persistence, bulk decode).
+
+        Free for a plain array; an Elias-Fano one takes a Python step
+        per entry, so callers that need it repeatedly keep the result.
+        """
         if self._plain is not None:
             return self._plain
         return np.fromiter(self._ef, dtype=np.int64, count=len(self._ef))
@@ -430,10 +434,53 @@ class Ring:
         s = self.L_s.access(self.lf_p(i))
         return (s, p, o)
 
+    def triples_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every triple, as ``(subjects, predicates, objects)`` ``int64``
+        arrays in ``L_p`` order — element ``i`` is :meth:`triple_at_lp`
+        of ``i``, so the triples come sorted by ``(o, s, p)``.
+
+        One vectorized decode of the whole ring: predicates are the
+        inverted ``L_p``, objects the run lengths of ``C_o``, and the
+        LF map of *all* positions at once is one stable argsort of the
+        predicates (``L_s`` lists the same triples by predicate, ties
+        in ``L_p`` order).  Nothing is cached on the ring.
+        """
+        predicates = self.L_p.access_range()
+        objects = np.repeat(
+            np.arange(self._num_nodes, dtype=np.int64),
+            np.diff(self.C_o.to_array()),
+        )
+        subjects = np.empty(self._n, dtype=np.int64)
+        subjects[np.argsort(predicates, kind="stable")] = \
+            self.L_s.access_range()
+        return subjects, predicates, objects
+
+    def predicate_edges(
+        self, p: int, object_bounds: "np.ndarray | None" = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The edges labeled ``p``, as ``(subjects, objects)`` ``int64``
+        arrays sorted by ``(object, subject)``.
+
+        Subjects are the decoded ``L_s`` slice of ``p``; the objects
+        repeat each node by its count of incoming ``p``-edges, one
+        vectorized ``L_p`` rank over the object boundaries.
+        ``object_bounds`` is ``C_o`` as a plain array, for callers that
+        decode many predicates: an Elias-Fano ``C_o`` takes O(|V|)
+        Python steps to decode, worth paying once rather than per call.
+        """
+        if object_bounds is None:
+            object_bounds = self.C_o.to_array()
+        b, e = self.predicate_range(p)
+        subjects = self.L_s.access_range(b, e)
+        objects = np.repeat(
+            np.arange(self._num_nodes, dtype=np.int64),
+            np.diff(self.L_p.rank_many(p, object_bounds)),
+        )
+        return subjects, objects
+
     def iter_triples(self) -> Iterator[IntTriple]:
-        """Enumerate all triples (in ``(o, s, p)`` order); for testing."""
-        for i in range(self._n):
-            yield self.triple_at_lp(i)
+        """Enumerate all triples, in ``(o, s, p)`` order."""
+        return zip(*(column.tolist() for column in self.triples_arrays()))
 
     def contains_triple(self, s: int, p: int, o: int) -> bool:
         """Membership test via one backward-search step plus a rank."""

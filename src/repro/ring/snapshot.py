@@ -32,10 +32,15 @@ dotted name:
 ``c_o`` ``c_p``        the boundary arrays, plain ``int64`` (an
 ``c_s``                Elias-Fano-compressed source ring is decoded once
                        at snapshot time; attach always yields plain)
-``mat.{pid}.indptr``   per-predicate CSR triplets of the sparse boolean
-``mat.{pid}.indices``  backend (present only when scipy is available and
-``mat.{pid}.data``     ``include_matrices`` was left on)
 =====================  =====================================================
+
+That is the whole payload: the ring is the only index a serving tier
+loads.  The sparse boolean backend's per-predicate matrices are a
+cache decoded from whichever ring is attached
+(:class:`~repro.matrix.matrices.PredicateMatrices`), so they are never
+shipped.  Snapshots written before that (same ``v1`` format) also
+carry ``mat.{pid}.*`` buffers and a ``matrix_pids`` list; a reader
+skips both — a buffer nobody asks for is never viewed.
 
 Structural metadata (``n``, ``sigma`` per column, node/predicate
 labels, the inverse-predicate involution, the serve-layer CRC-32
@@ -86,7 +91,7 @@ def _column_buffers(prefix: str, wm: WaveletMatrix, buffers: dict) -> dict:
     return {"n": len(wm), "sigma": wm.sigma, "levels": levels}
 
 
-def snapshot_index(index, include_matrices: bool = True):
+def snapshot_index(index):
     """Flatten a built index into ``(manifest, buffers)``.
 
     ``buffers`` maps manifest buffer names to the live numpy arrays of
@@ -125,18 +130,13 @@ def snapshot_index(index, include_matrices: bool = True):
         manifest["columns"]["lo"] = _column_buffers("lo", ring.L_o, buffers)
         buffers["c_s"] = ring.C_s.to_array().astype(np.int64, copy=False)
 
-    matrix_pids: list[int] = []
-    if include_matrices:
-        store = _matrix_store(index)
-        if store is not None:
-            for pid in store.predicates:
-                m = store.matrix(pid)
-                buffers[f"mat.{pid}.indptr"] = m.indptr
-                buffers[f"mat.{pid}.indices"] = m.indices
-                buffers[f"mat.{pid}.data"] = m.data
-                matrix_pids.append(int(pid))
-    manifest["matrix_pids"] = matrix_pids
+    _lay_out(manifest, buffers)
+    return manifest, buffers
 
+
+def _lay_out(manifest: dict, buffers: dict) -> None:
+    """Fill the manifest's ``buffers`` table and ``total_bytes``: every
+    buffer at the next 64-byte boundary, in insertion order."""
     table = {}
     offset = 0
     for name, arr in buffers.items():
@@ -151,16 +151,6 @@ def snapshot_index(index, include_matrices: bool = True):
         offset += arr.nbytes
     manifest["buffers"] = table
     manifest["total_bytes"] = _align(offset)
-    return manifest, buffers
-
-
-def _matrix_store(index):
-    """The index's compiled sparse backend, or ``None`` without scipy."""
-    try:
-        from repro.matrix.matrices import PredicateMatrices
-    except ImportError:  # scipy not installed: ring-only snapshot
-        return None
-    return PredicateMatrices.from_index(index)
 
 
 def _write_payload(manifest: dict, buffers: dict, target) -> None:
@@ -246,35 +236,7 @@ def attach_index(manifest: dict, payload):
     dictionary = Dictionary(d["nodes"], d["predicates"], d["inverse_ids"])
     index = RingIndex(dictionary, ring)
     index._serve_fingerprint = manifest["fingerprint"]
-    if manifest.get("matrix_pids"):
-        store = _attach_matrices(manifest, payload)
-        if store is not None:
-            index._matrix_store = store
     return index
-
-
-def _attach_matrices(manifest: dict, payload):
-    try:
-        import scipy.sparse as sp
-
-        from repro.matrix.matrices import PredicateMatrices
-    except ImportError:  # snapshot carries matrices but reader lacks scipy
-        return None
-    store = PredicateMatrices.__new__(PredicateMatrices)
-    store.num_nodes = manifest["num_nodes"]
-    shape = (store.num_nodes, store.num_nodes)
-    store._matrices = {}
-    for pid in manifest["matrix_pids"]:
-        store._matrices[pid] = sp.csr_matrix(
-            (
-                _buffer_view(manifest, payload, f"mat.{pid}.data"),
-                _buffer_view(manifest, payload, f"mat.{pid}.indices"),
-                _buffer_view(manifest, payload, f"mat.{pid}.indptr"),
-            ),
-            shape=shape,
-            copy=False,
-        )
-    return store
 
 
 # ----------------------------------------------------------------------
@@ -342,12 +304,10 @@ class SharedIndexHandle:
         self._closed = False
 
     @classmethod
-    def create(cls, index, include_matrices: bool = True,
+    def create(cls, index,
                name: str | None = None) -> "SharedIndexHandle":
         """Snapshot ``index`` into a fresh shared-memory segment."""
-        manifest, buffers = snapshot_index(
-            index, include_matrices=include_matrices
-        )
+        manifest, buffers = snapshot_index(index)
         shm = shared_memory.SharedMemory(
             create=True, size=max(1, manifest["total_bytes"]), name=name
         )
@@ -457,16 +417,17 @@ def attach_token(token: dict):
 # ----------------------------------------------------------------------
 
 
-def save_snapshot(index, path, include_matrices: bool = True) -> int:
+def save_snapshot(index, path) -> int:
     """Write the snapshot to ``path``; returns bytes written.
 
     Format: ``RPQSNAP1`` magic, little-endian ``uint64`` manifest
     length, the UTF-8 JSON manifest, zero padding to a 64-byte
     boundary, then the payload described by the manifest.
     """
-    manifest, buffers = snapshot_index(
-        index, include_matrices=include_matrices
-    )
+    return _write_file(*snapshot_index(index), path)
+
+
+def _write_file(manifest: dict, buffers: dict, path) -> int:
     blob = json.dumps(manifest, separators=(",", ":")).encode("utf-8")
     header = _FILE_MAGIC + len(blob).to_bytes(8, "little") + blob
     pad = _align(len(header)) - len(header)

@@ -187,9 +187,11 @@ class ProcessQueryService(QueryService):
         ``prepare_cache_size``).  The process tier always builds ring
         engines in its workers; the ``engine`` parameter of the base
         class only shapes parent-side routing/labels.
-    include_matrices:
-        Snapshot the sparse boolean backend's CSR matrices into the
-        segment too (on by default when scipy is available).
+
+    The segment holds the ring's buffers and nothing else: ring engines
+    are all the workers build, and anything derived from the ring (the
+    matrix backend's per-predicate blocks) is decoded on demand from
+    whichever ring a process has attached.
     """
 
     def __init__(
@@ -198,15 +200,12 @@ class ProcessQueryService(QueryService):
         workers: int = 4,
         start_method: str | None = None,
         engine_kwargs: dict | None = None,
-        include_matrices: bool = True,
         **kwargs,
     ):
         self._ctx = (mp.get_context(start_method)
                      if start_method else mp.get_context())
         self._engine_kwargs = dict(engine_kwargs or {})
-        self._shared = SharedIndexHandle.create(
-            index, include_matrices=include_matrices
-        )
+        self._shared = SharedIndexHandle.create(index)
         self._slots: list[_WorkerSlot | None] = [None] * workers
         self._restarts = 0
         self._pool_lock = threading.Lock()

@@ -323,6 +323,66 @@ class WaveletMatrix:
         return [self.access(i) for i in range(self._n)]
 
     # ------------------------------------------------------------------
+    # Decode kernels (bulk inversion of the index, off the query path)
+    # ------------------------------------------------------------------
+
+    def _held_levels(self) -> list[tuple[np.ndarray, np.ndarray, int]]:
+        """``(words, cum, n_bits)`` per level, straight from the arrays
+        the level bit-vectors already hold.
+
+        The decode kernels read these instead of :meth:`batch_data`:
+        on a built matrix that call widens every rank directory to
+        ``int64`` and copies every payload (≈ +23% on the audited
+        ring), and a decode must leave nothing behind on the index.
+        :func:`rank1_many_words` takes the un-widened, sentinel-free
+        form as it is.
+        """
+        return [(bv._words, bv._cum, len(bv)) for bv in self._levels]
+
+    def access_range(self, b: int = 0, e: int | None = None) -> np.ndarray:
+        """Vectorized :meth:`access`: the symbols at ``[b, e)``, ``int64``.
+
+        Level-wise inversion — the whole slice walks down together and
+        each level costs one vectorized rank call over the concatenated
+        ``(pos, pos + 1)`` pairs, whose difference is the level's bit.
+        """
+        if e is None:
+            e = self._n
+        b = max(0, min(b, self._n))
+        e = max(b, min(e, self._n))
+        k = e - b
+        pos = np.arange(b, e, dtype=np.int64)
+        symbols = np.zeros(k, dtype=np.int64)
+        if k == 0:
+            return symbols
+        for (words, cum, n_bits), z in zip(self._held_levels(), self._zeros):
+            ranks = rank1_many_words(
+                words, cum, n_bits, np.concatenate((pos, pos + 1))
+            )
+            before = ranks[:k]
+            bit = ranks[k:] - before
+            symbols = (symbols << 1) | bit
+            pos = np.where(bit == 1, z + before, pos - before)
+        return symbols
+
+    def rank_many(self, symbol: int, positions) -> np.ndarray:
+        """Vectorized :meth:`rank`: one symbol, many positions.
+
+        The decode-side sibling of :meth:`rank_pair_many` — same path
+        walk, but over the held arrays (see :meth:`_held_levels`), so
+        it leaves no batch mirror on the matrix.
+        """
+        self._check_symbol(symbol)
+        pos = np.clip(np.asarray(positions, dtype=np.int64), 0, self._n)
+        for level, (words, cum, n_bits) in enumerate(self._held_levels()):
+            ranks = rank1_many_words(words, cum, n_bits, pos)
+            if (symbol >> (self._height - 1 - level)) & 1:
+                pos = self._zeros[level] + ranks
+            else:
+                pos = pos - ranks
+        return pos - int(self._bottom_start[symbol])
+
+    # ------------------------------------------------------------------
     # Virtual-node traversal API (used by the Ring-RPQ engine)
     # ------------------------------------------------------------------
 

@@ -1,6 +1,6 @@
 """Batch kernels agree with their scalar counterparts, exactly.
 
-Three layers of evidence:
+Four layers of evidence:
 
 * hypothesis property tests pin the vectorized rank/descent kernels to
   the scalar reference implementations, including the clamping and
@@ -9,6 +9,11 @@ Three layers of evidence:
 * the ring's bulk operations (``backward_step_many``,
   ``object_ranges_many``) are checked element-wise against their
   scalar originals on a benchmark-shaped index;
+* the decode kernels (``access_range``, ``rank_many``,
+  ``Ring.triples_arrays``) and the matrix store that is a cache of
+  them are pinned to the scalar triple walk over random completed
+  graphs, on built and on view-attached rings, and must leave the
+  ring's audited size exactly as they found it;
 * an engine-level differential proves the batched traversal returns
   the *identical* pair sets and the identical operation counters as
   the scalar engine on tier-1 graphs — a batch of k must account
@@ -30,6 +35,10 @@ from hypothesis import strategies as st
 from repro._util.bits import rank1_many_words
 from repro.core import batchrun
 from repro.core.engine import RingRPQEngine
+from repro.ring.builder import RingIndex
+from repro.ring.dictionary import Dictionary
+from repro.ring.ring import Ring
+from repro.ring.snapshot import _write_payload, attach_index, snapshot_index
 from repro.succinct.bitvector import BitVector
 from repro.succinct.wavelet_matrix import WaveletMatrix
 
@@ -194,6 +203,190 @@ def test_object_ranges_many_matches_scalar(kg_index):
     batched = ring.object_ranges_many(nodes)
     scalar = [ring.object_range(n) for n in nodes]
     assert [tuple(row) for row in batched.tolist()] == scalar
+
+
+# ----------------------------------------------------------------------
+# Decode kernels: the ring inverted in bulk, and the matrix store on top
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.hypothesis
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    sigma=st.integers(min_value=1, max_value=40),
+    n=st.integers(min_value=0, max_value=200),
+)
+def test_access_range_and_rank_many_match_scalar(data, sigma, n):
+    seq = data.draw(
+        st.lists(
+            st.integers(min_value=0, max_value=sigma - 1),
+            min_size=n, max_size=n,
+        )
+    )
+    matrix = WaveletMatrix(seq, sigma)
+    before = matrix.measure().nbytes
+    assert matrix.access_range().tolist() == seq
+    b = data.draw(st.integers(min_value=-3, max_value=n + 3))
+    e = data.draw(st.integers(min_value=-3, max_value=n + 3))
+    assert matrix.access_range(b, e).tolist() == seq[max(0, b):max(0, e)]
+    symbol = data.draw(st.integers(min_value=0, max_value=sigma - 1))
+    positions = data.draw(
+        st.lists(st.integers(min_value=-5, max_value=n + 5), max_size=20)
+    )
+    assert matrix.rank_many(symbol, positions).tolist() == [
+        matrix.rank(symbol, i) for i in positions
+    ]
+    assert matrix.measure().nbytes == before  # no mirror left behind
+
+
+@st.composite
+def completed_graphs(draw):
+    """``(num_nodes, inverse_ids, completed int triples)``: one to
+    four ``p``/``^p`` twin pairs plus, sometimes, a symmetric predicate
+    (so |P| is odd, even, a power of two or not), one to a dozen nodes,
+    and an edge list that is free to leave predicates without edges."""
+    num_nodes = draw(st.integers(min_value=1, max_value=12))
+    pairs = draw(st.integers(min_value=1, max_value=4))
+    inverse = [p ^ 1 for p in range(2 * pairs)]
+    if draw(st.booleans()):
+        inverse.append(len(inverse))  # its own inverse
+    node = st.integers(min_value=0, max_value=num_nodes - 1)
+    edges = draw(st.lists(
+        st.tuples(node, st.integers(min_value=0, max_value=len(inverse) - 1),
+                  node),
+        max_size=40,
+    ))
+    completed = {t for s, p, o in edges
+                 for t in ((s, p, o), (o, inverse[p], s))}
+    return num_nodes, inverse, sorted(completed)
+
+
+def _index_of(graph, compressed: bool) -> RingIndex:
+    num_nodes, inverse, triples = graph
+    ring = Ring(triples, num_nodes, len(inverse),
+                compressed_boundaries=compressed)
+    dictionary = Dictionary(
+        [f"n{i}" for i in range(num_nodes)],
+        [f"p{i}" for i in range(len(inverse))],
+        inverse,
+    )
+    return RingIndex(dictionary, ring)
+
+
+def _attached(index: RingIndex) -> RingIndex:
+    """The same index as views over a snapshot payload."""
+    manifest, buffers = snapshot_index(index)
+    payload = bytearray(manifest["total_bytes"])
+    _write_payload(manifest, buffers, payload)
+    return attach_index(manifest, payload)
+
+
+@pytest.mark.hypothesis
+@settings(max_examples=60, deadline=None)
+@given(graph=completed_graphs(), compressed=st.booleans(),
+       attach=st.booleans())
+def test_triples_arrays_match_the_scalar_walk(graph, compressed, attach):
+    index = _index_of(graph, compressed)
+    ring = (_attached(index) if attach else index).ring
+    before = ring.measure().nbytes
+    want = [ring.triple_at_lp(i) for i in range(len(ring))]
+    subjects, predicates, objects = ring.triples_arrays()
+    got = list(zip(subjects.tolist(), predicates.tolist(), objects.tolist()))
+    assert got == want == list(ring.iter_triples())
+    assert sorted(got) == graph[2]
+    assert ring.measure().nbytes == before
+
+
+@pytest.mark.hypothesis
+@settings(max_examples=60, deadline=None)
+@given(graph=completed_graphs(), compressed=st.booleans(),
+       attach=st.booleans())
+def test_matrix_store_matches_eager_csr(graph, compressed, attach):
+    sp = pytest.importorskip("scipy.sparse")
+    from repro.matrix.matrices import PredicateMatrices
+
+    num_nodes, inverse, _ = graph
+    index = _index_of(graph, compressed)
+    ring = (_attached(index) if attach else index).ring
+    edges: dict = {}
+    for s, p, o in ring.iter_triples():
+        edges.setdefault(p, []).append((s, o))
+    before = ring.measure().nbytes
+    store = PredicateMatrices(ring)
+    assert store.measure().nbytes == 0
+    assert store.predicates == sorted(edges)
+    for pid in range(len(inverse)):
+        block = store.matrix(pid)
+        assert store.nnz(pid) == len(edges.get(pid, ()))
+        if pid not in edges:
+            assert block is None
+            continue
+        rows, cols = zip(*edges[pid])
+        eager = sp.csr_matrix(
+            (np.ones(len(rows), dtype=bool), (rows, cols)),
+            shape=(num_nodes, num_nodes),
+        )
+        assert block.nnz == eager.nnz and (block != eager).nnz == 0
+        assert block.has_canonical_format
+        assert block.indices.dtype == eager.indices.dtype
+        assert store.matrix(pid) is block  # memoised
+        twin = store.matrix(inverse[pid])
+        assert (twin != block.T).nnz == 0
+    assert store.measure().detail["decoded"] == len(edges)
+    assert ring.measure().nbytes == before
+
+
+def test_decoding_every_predicate_leaves_the_ring_untouched(kg_graph):
+    pytest.importorskip("scipy")
+    from repro.matrix.matrices import PredicateMatrices
+
+    for index in (RingIndex.from_graph(kg_graph),
+                  _attached(RingIndex.from_graph(kg_graph))):
+        before = index.ring.measure().nbytes
+        store = PredicateMatrices.from_index(index).decode_all()
+        assert store.measure().detail["decoded"] == len(store.predicates)
+        list(index.ring.iter_triples())
+        assert index.ring.measure().nbytes == before
+
+
+def test_concurrent_first_touch_yields_one_block(kg_graph):
+    """Threads racing to decode the same predicates all get the block
+    the store kept (and it is the right one): a first touch that
+    overwrote a block another thread already holds would break it."""
+    pytest.importorskip("scipy")
+    import sys
+    import threading
+
+    from repro.matrix.matrices import PredicateMatrices
+
+    index = RingIndex.from_graph(kg_graph)
+    want = PredicateMatrices(index.ring)
+    store = PredicateMatrices(index.ring)
+    n_threads = 8
+    barrier = threading.Barrier(n_threads)
+    seen: list[dict] = []
+
+    def touch():
+        barrier.wait(timeout=30)
+        seen.append({pid: store.matrix(pid) for pid in want.predicates})
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=touch) for _ in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(seen) == n_threads
+    for pid in want.predicates:
+        kept = store.matrix(pid)
+        assert all(blocks[pid] is kept for blocks in seen), pid
+        assert (kept != want.matrix(pid)).nnz == 0
 
 
 # ----------------------------------------------------------------------

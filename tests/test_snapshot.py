@@ -1,17 +1,21 @@
 """The shared-memory / mmap snapshot plane (``ring-snapshot/v1``).
 
 The contract under test: a snapshot *attach* reconstructs views — not
-copies — of the ring, its wavelet-matrix columns and the sparse
-backend's CSR matrices, and an engine over the attached index is
-bit-identical (pairs AND operation counters) to one over the built
-index.  Segment lifecycle: created once, attachable many times,
-fully released (no dangling ``/dev/shm`` entry) after ``close()``.
+copies — of the ring and its wavelet-matrix columns, and an engine
+over the attached index is bit-identical (pairs AND operation
+counters) to one over the built index.  The ring is all a snapshot
+carries: the sparse backend decodes its matrices from whichever ring
+is attached, and files written while snapshots still shipped them
+keep loading.  Segment lifecycle: created once, attachable many
+times, fully released (no dangling ``/dev/shm`` entry) after
+``close()``.
 """
 
 from __future__ import annotations
 
 import gc
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -21,6 +25,8 @@ from repro.errors import ConstructionError
 from repro.ring.snapshot import (
     SNAPSHOT_FORMAT,
     SharedIndexHandle,
+    _lay_out,
+    _write_file,
     attach_index,
     attach_token,
     load_snapshot,
@@ -97,19 +103,26 @@ class TestSharedMemoryPlane:
                 kg_index
             )
 
-    def test_matrices_attach_when_present(self, kg_index):
+    def test_segment_is_the_ring_and_serves_every_backend(self, kg_index):
+        """No ``mat.`` buffer travels, yet the matrix and routed
+        backends answer from the attached ring as from the built one."""
         pytest.importorskip("scipy")
-        from repro.matrix.matrices import PredicateMatrices
+        from repro.baselines.registry import make_engine
 
-        store = PredicateMatrices.from_index(kg_index)
         with SharedIndexHandle.create(kg_index) as handle:
+            assert not any(
+                name.startswith("mat.") for name in handle.manifest["buffers"]
+            )
+            assert "matrix_pids" not in handle.manifest
             attached = attach_token(handle.token())
-            view_store = attached._matrix_store
-            assert view_store.predicates == store.predicates
-            for pid in store.predicates:
-                a = store.matrix(pid)
-                b = view_store.matrix(pid)
-                assert (a != b).nnz == 0, pid
+            assert not hasattr(attached, "_matrix_store")
+            for backend in ("matrix", "routed"):
+                built = make_engine(backend, kg_index)
+                served = make_engine(backend, attached)
+                for query in WORKLOAD:
+                    assert served.evaluate(query, timeout=60).pairs == \
+                        built.evaluate(query, timeout=60).pairs, (
+                            backend, query)
 
     def test_segment_released_on_close(self, kg_index):
         handle = SharedIndexHandle.create(kg_index)
@@ -163,11 +176,85 @@ class TestFilePlane:
         loaded = load_snapshot(path, mmap=False)
         assert _fingerprints(loaded) == _fingerprints(kg_index)
 
-    def test_ring_only_snapshot(self, kg_index, tmp_path):
-        path = tmp_path / "ring_only.snap"
-        save_snapshot(kg_index, path, include_matrices=False)
+    def test_file_carries_no_matrix_store(self, kg_index, tmp_path):
+        path = tmp_path / "index.snap"
+        save_snapshot(kg_index, path)
         loaded = load_snapshot(path)
         assert not hasattr(loaded, "_matrix_store")
+        assert _fingerprints(loaded, WORKLOAD[:2]) == _fingerprints(
+            kg_index, WORKLOAD[:2]
+        )
+
+
+def _write_legacy_snapshot(index, path) -> dict:
+    """A ``ring-snapshot/v1`` file as written while snapshots still
+    shipped the compiled matrices: the ring's buffers, then
+    ``mat.{pid}.indptr/indices/data`` per predicate, and the
+    ``matrix_pids`` list.  The CSR triplets here are deliberately
+    wrong (every edge in column 0): a reader that resurrected them
+    instead of decoding from the ring would answer differently.
+    """
+    manifest, buffers = snapshot_index(index)
+    ring = index.ring
+    pids = [p for p in range(ring.num_predicates) if ring.predicate_count(p)]
+    for pid in pids:
+        nnz = ring.predicate_count(pid)
+        indptr = np.full(ring.num_nodes + 1, nnz, dtype=np.int32)
+        indptr[0] = 0
+        buffers[f"mat.{pid}.indptr"] = indptr
+        buffers[f"mat.{pid}.indices"] = np.zeros(nnz, dtype=np.int32)
+        buffers[f"mat.{pid}.data"] = np.ones(nnz, dtype=bool)
+    manifest["matrix_pids"] = pids
+    _lay_out(manifest, buffers)
+    _write_file(manifest, buffers, path)
+    return manifest
+
+
+class TestLegacyMatrixSnapshots:
+    """Files and segments written before the matrices left the
+    snapshot plane keep loading; their ``mat.*`` buffers are ignored."""
+
+    def test_legacy_file_loads_and_decodes_from_the_ring(
+            self, kg_index, tmp_path):
+        pytest.importorskip("scipy")
+        from repro.matrix.matrices import PredicateMatrices
+
+        path = tmp_path / "legacy.snap"
+        manifest = _write_legacy_snapshot(kg_index, path)
+        assert manifest["matrix_pids"]
+        assert "mat.0.indptr" in manifest["buffers"]
+        loaded = load_snapshot(path)
+        assert not hasattr(loaded, "_matrix_store")
+        assert _fingerprints(loaded, WORKLOAD[:2]) == _fingerprints(
+            kg_index, WORKLOAD[:2]
+        )
+        store = PredicateMatrices.from_index(loaded)
+        assert store.measure().nbytes == 0  # lazily, not eagerly
+        want = PredicateMatrices(kg_index.ring)
+        assert store.predicates == want.predicates == manifest["matrix_pids"]
+        for pid in want.predicates:
+            assert (store.matrix(pid) != want.matrix(pid)).nnz == 0, pid
+
+    def test_legacy_manifest_attaches_in_memory(self, kg_index, tmp_path):
+        manifest = _write_legacy_snapshot(kg_index, tmp_path / "legacy.snap")
+        payload = (tmp_path / "legacy.snap").read_bytes()
+        payload = payload[len(payload) - manifest["total_bytes"]:]
+        attached = attach_index(manifest, payload)
+        assert _fingerprints(attached, WORKLOAD[:1]) == _fingerprints(
+            kg_index, WORKLOAD[:1]
+        )
+
+    def test_legacy_file_loads_without_scipy(
+            self, kg_index, tmp_path, monkeypatch):
+        path = tmp_path / "legacy.snap"
+        _write_legacy_snapshot(kg_index, path)
+        for name in [m for m in sys.modules
+                     if m == "scipy" or m.startswith("scipy.")
+                     or m.startswith("repro.matrix")]:
+            monkeypatch.delitem(sys.modules, name)
+        monkeypatch.setitem(sys.modules, "scipy", None)  # import fails
+        loaded = load_snapshot(path)
+        assert "repro.matrix.matrices" not in sys.modules
         assert _fingerprints(loaded, WORKLOAD[:2]) == _fingerprints(
             kg_index, WORKLOAD[:2]
         )

@@ -212,16 +212,30 @@ class TestRingMeasure:
         assert dictionary is not None
         assert dictionary.nbytes == kg_index.dictionary.size_in_bits() // 8
 
-    def test_audit_index_includes_compiled_matrices(self, kg_index):
+    def test_audit_index_follows_the_decoded_matrix_blocks(self, kg_graph):
         pytest.importorskip("scipy")
         from repro.matrix.matrices import PredicateMatrices
 
-        store = PredicateMatrices.from_index(kg_index)
-        root = audit_index(kg_index)
-        matrix = root.find("index.matrix")
-        assert matrix is not None
-        assert matrix.nbytes == store.measure("matrix").nbytes
-        assert matrix.children, "expected per-predicate CSR branches"
+        index = RingIndex.from_graph(kg_graph)
+        assert audit_index(index).find("index.matrix") is None
+        store = PredicateMatrices.from_index(index)
+        cold = audit_index(index).find("index.matrix")
+        assert cold.nbytes == 0 and not cold.children
+        assert cold.detail["decoded"] == 0
+        assert cold.detail["predicates"] == len(store.predicates)
+        first = store.predicates[0]
+        block = store.matrix(first)
+        one = audit_index(index).find("index.matrix")
+        assert [c.name for c in one.children] == [f"p{first}"]
+        assert one.nbytes == (block.indptr.nbytes + block.indices.nbytes
+                              + block.data.nbytes)
+        store.decode_all()
+        full = audit_index(index)
+        full.check()
+        matrix = full.find("index.matrix")
+        assert matrix.detail["decoded"] == len(store.predicates)
+        assert matrix.nbytes == store.measure().nbytes \
+            == store.size_in_bits() // 8
 
 
 # ----------------------------------------------------------------------
@@ -231,7 +245,7 @@ class TestRingMeasure:
 
 class TestSnapshotAudit:
     def test_manifest_audit_equals_total_bytes_exactly(self, mid_index):
-        manifest, _ = snapshot_index(mid_index, include_matrices=False)
+        manifest, _ = snapshot_index(mid_index)
         snap = audit_manifest(manifest)
         snap.check()
         assert snap.nbytes == manifest["total_bytes"]
@@ -242,7 +256,7 @@ class TestSnapshotAudit:
         """The acceptance criterion: the served (view-backed) ring's
         audit agrees with the segment byte size within 5%; the gap is
         only the 64-byte alignment padding."""
-        manifest, buffers = snapshot_index(mid_index, include_matrices=False)
+        manifest, buffers = snapshot_index(mid_index)
         payload = bytearray(manifest["total_bytes"])
         _write_payload(manifest, buffers, payload)
         attached = attach_index(manifest, payload)
