@@ -27,6 +27,7 @@ handle length-1/2 and disjunctive patterns with pure backward search.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from collections import OrderedDict, deque
@@ -47,6 +48,7 @@ from repro.core.query import RPQ, as_query
 from repro.core.result import QueryResult, QueryStats
 from repro.errors import QueryCancelledError, QueryTimeoutError
 from repro.obs.metrics import NULL_METRICS
+from repro.ring.ring import listing_runs
 
 #: How many :meth:`_Budget.tick` calls between wall-clock checks.  The
 #: hot traversal loops already throttle their tick calls to one per 256
@@ -84,8 +86,15 @@ class _Budget:
     def tick(self) -> None:
         """Cheap periodic timeout/cancellation check; raises on expiry."""
         self.ticks += 1
-        if self.ticks % _TICK_EVERY:
-            return
+        if self.ticks % _TICK_EVERY == 0:
+            self.check()
+
+    def check(self) -> None:
+        """Consult the cancel token and the clock now; raises on expiry.
+
+        For callers whose unit of work is already coarse — one run of a
+        batched listing — and must not wait ``_TICK_EVERY`` of them.
+        """
         if self.cancel is not None and self.cancel.is_set():
             raise QueryCancelledError(time.monotonic() - self.start)
         if self.deadline is not None and time.monotonic() > self.deadline:
@@ -500,6 +509,20 @@ class _BackwardRun:
             obs.add_phase("subjects_from_predicates", now() - t_start - t_obj)
             obs.add_phase("subjects_to_objects", t_obj)
         return done
+
+
+def _add_partner_pairs(
+    pairs: set, labels: tuple, anchor: int, partners: Iterable[int],
+    side: str,
+) -> None:
+    """Add the pairs of one phase-2 anchor and its reported partners,
+    the anchor on the ``side`` it was bound to."""
+    anchor_label = itertools.repeat(labels[anchor])
+    partner_labels = map(labels.__getitem__, partners)
+    if side == "subject":
+        pairs.update(zip(anchor_label, partner_labels))
+    else:
+        pairs.update(zip(partner_labels, anchor_label))
 
 
 class RingRPQEngine:
@@ -1038,19 +1061,11 @@ class RingRPQEngine:
                         max_reported=remaining,
                     )
                     for node_id, partners in zip(chunk, partner_sets):
-                        if not partners:
-                            continue
-                        anchor_label = dictionary.node_label(node_id)
-                        for partner in partners:
-                            partner_label = dictionary.node_label(partner)
-                            if side == "subject":
-                                result.pairs.add(
-                                    (anchor_label, partner_label)
-                                )
-                            else:
-                                result.pairs.add(
-                                    (partner_label, anchor_label)
-                                )
+                        if partners:
+                            _add_partner_pairs(
+                                result.pairs, dictionary.node_labels,
+                                node_id, partners, side,
+                            )
                 return
 
             for node_id in order:
@@ -1068,13 +1083,10 @@ class RingRPQEngine:
                     start_node=node_id,
                     max_reported=remaining,
                 )
-                anchor_label = dictionary.node_label(node_id)
-                for partner in partners:
-                    partner_label = dictionary.node_label(partner)
-                    if side == "subject":
-                        result.pairs.add((anchor_label, partner_label))
-                    else:
-                        result.pairs.add((partner_label, anchor_label))
+                _add_partner_pairs(
+                    result.pairs, dictionary.node_labels,
+                    node_id, partners, side,
+                )
         finally:
             if span is not None:
                 spans.end(span)
@@ -1144,34 +1156,47 @@ class RingRPQEngine:
         b, e = ring.predicate_range(pid)
         height = ring.L_s.height
 
-        subjects = [s for s, _, _ in ring.L_s.range_distinct(b, e)]
-        if self.batch and len(subjects) >= 2:
-            # All subjects map through C_o and the Eq. 4–5 step with the
-            # batch kernels (two vectorized walks instead of 3·height
-            # scalar ranks per subject); only the per-pair emit loop
-            # stays scalar.  Counters accrue per subject as the emit
-            # loop reaches it, so truncated runs account like the
-            # scalar path.
-            obj_ranges = ring.object_ranges_many(subjects, obs=ctx.obs)
-            steps = ring.backward_step_many(obj_ranges, inv, obs=ctx.obs)
-            for i, subject in enumerate(subjects):
-                budget.tick()
-                subject_label = dictionary.node_label(subject)
-                result.stats.product_edges += 1
-                result.stats.backward_steps += 1
-                result.stats.object_ranges += 1
-                result.stats.storage_ops += 3 * height
-                for obj, _, _ in ring.L_s.range_distinct(
-                    int(steps[i, 0]), int(steps[i, 1])
-                ):
-                    result.pairs.add(
-                        (subject_label, dictionary.node_label(obj))
-                    )
-                    if limit is not None and len(result.pairs) >= limit:
-                        result.stats.truncated = True
+        if self.batch:
+            # The same listing as an array pipeline: every subject maps
+            # through C_o and the Eq. 4–5 step at once, and the object
+            # descents go one bounded run of subjects at a time, the
+            # budget consulted between runs.
+            _, subjects, _, _ = ring.L_s.descend_batch([(b, e)])
+            if not len(subjects):
+                return
+            steps = ring.backward_step_many(
+                ring.object_ranges_many(subjects, obs=ctx.obs), inv,
+                obs=ctx.obs,
+            )
+            labels = dictionary.node_labels
+            pairs = result.pairs
+            stats = result.stats
+            for lo, hi in listing_runs(
+                steps[:, 1] - steps[:, 0], limit, pairs
+            ):
+                budget.check()
+                origins, objects, _, _ = ring.L_s.descend_batch(steps[lo:hi])
+                stats.product_edges += hi - lo
+                stats.backward_steps += hi - lo
+                stats.object_ranges += hi - lo
+                stats.storage_ops += 3 * height * (hi - lo)
+                if limit is None or len(pairs) + len(objects) < limit:
+                    pairs.update(zip(
+                        map(labels.__getitem__,
+                            subjects[lo:hi][origins].tolist()),
+                        map(labels.__getitem__, objects.tolist()),
+                    ))
+                    continue
+                # A run that can reach the cap is one subject.
+                subject_label = labels[subjects[lo]]
+                for obj in objects.tolist():
+                    pairs.add((subject_label, labels[obj]))
+                    if len(pairs) >= limit:
+                        stats.truncated = True
                         return
             return
 
+        subjects = [s for s, _, _ in ring.L_s.range_distinct(b, e)]
         for subject in subjects:
             budget.tick()
             subject_label = dictionary.node_label(subject)
@@ -1209,6 +1234,58 @@ class RingRPQEngine:
         r1 = ring.predicate_range(inv1)  # subjects here = targets of p1
         r2 = ring.predicate_range(p2)    # subjects here = sources of p2
         height = ring.L_s.height
+        if self.batch:
+            # The same expansion as an array pipeline: all mid-points
+            # take both backward steps at once, and the two descents go
+            # one bounded run of mid-points at a time, the budget
+            # consulted between runs.
+            mids = np.array(
+                [mid for mid, *_ in ring.L_s.range_intersect(*r1, *r2)],
+                dtype=np.int64,
+            )
+            if not len(mids):
+                return
+            obj_ranges = ring.object_ranges_many(mids, obs=ctx.obs)
+            s_steps = ring.backward_step_many(obj_ranges, p1, obs=ctx.obs)
+            o_steps = ring.backward_step_many(obj_ranges, inv2, obs=ctx.obs)
+            labels = dictionary.node_labels
+            pairs = result.pairs
+            stats = result.stats
+            for lo, hi in listing_runs(
+                (s_steps[:, 1] - s_steps[:, 0])
+                * (o_steps[:, 1] - o_steps[:, 0]),
+                limit, pairs,
+            ):
+                budget.check()
+                s_of, subjects, _, _ = ring.L_s.descend_batch(s_steps[lo:hi])
+                o_of, objects, _, _ = ring.L_s.descend_batch(o_steps[lo:hi])
+                stats.storage_ops += 4 * height * (hi - lo)
+                stats.object_ranges += hi - lo
+                stats.backward_steps += 2 * (hi - lo)
+                stats.product_edges += len(subjects) + len(objects)
+                subjects = [labels[s] for s in subjects.tolist()]
+                objects = [labels[o] for o in objects.tolist()]
+                per_mid = np.arange(hi - lo + 1)
+                s_cut = np.searchsorted(s_of, per_mid)
+                o_cut = np.searchsorted(o_of, per_mid)
+                n_new = int(np.diff(s_cut) @ np.diff(o_cut))
+                if limit is None or len(pairs) + n_new < limit:
+                    s_cut, o_cut = s_cut.tolist(), o_cut.tolist()
+                    for i in range(hi - lo):
+                        pairs.update(itertools.product(
+                            subjects[s_cut[i]:s_cut[i + 1]],
+                            objects[o_cut[i]:o_cut[i + 1]],
+                        ))
+                    continue
+                # A run that can reach the cap is one mid-point.
+                for s_label in subjects:
+                    for o_label in objects:
+                        pairs.add((s_label, o_label))
+                        if len(pairs) >= limit:
+                            stats.truncated = True
+                            return
+            return
+
         for mid, _, _, _, _ in ring.L_s.range_intersect(*r1, *r2):
             budget.tick()
             result.stats.storage_ops += 4 * height

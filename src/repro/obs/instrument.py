@@ -17,18 +17,32 @@ instrumentors here *swap the class* of live instances:
 The counting classes report to a single class-level sink, so only one
 :class:`~repro.obs.metrics.Metrics` registry can be instrumenting at a
 time (nesting with the *same* registry is fine); the context managers
-enforce this.  Note that the RPQ engine's inlined descents read the
-packed words through :meth:`WaveletMatrix.traversal_data` and therefore
-bypass these wrappers by design — their rank work is accounted
-arithmetically in ``QueryStats`` (``rank_ops`` = two per expanded
-internal node), while the counters here capture the *method-call* ops:
-``rank_pair`` backward steps, ``range_distinct`` / ``range_intersect``
-walks, selects, and everything the §5 fast paths do.
+enforce this.  Two families of code read the packed words without a
+method call per operation and therefore bypass the *bitvector* wrappers
+by design:
+
+* the RPQ engine's inlined descents
+  (:meth:`WaveletMatrix.traversal_data`) — their rank work is accounted
+  arithmetically in ``QueryStats`` (``rank_ops`` = two per expanded
+  internal node);
+* the array kernels (``descend_batch``, ``range_intersect``,
+  ``rank_pair_many``), which is what the §5 fast paths and
+  ``match_pattern(None, p, None)`` run on by default — they are counted
+  one level up, per *range*: a ``descend_batch`` of k ranges counts k
+  ``wavelet.range_distinct`` and a ``backward_step_many`` of k ranges k
+  ``ring.backward_step``, the same totals k scalar calls would give,
+  and ``stats.storage_ops`` carries their rank work.
+
+``bitvector.rank`` / ``wavelet.node`` therefore count the *scalar*
+method-call ops only: ``rank_pair`` backward steps, ``range_distinct``
+walks, selects, the ``batch=False`` reference engine.
 """
 
 from __future__ import annotations
 
 from contextlib import ExitStack, contextmanager
+
+import numpy as np
 
 from repro.obs.metrics import Metrics, NULL_METRICS
 from repro.succinct.bitvector import BitVector
@@ -63,10 +77,11 @@ class CountingBitVector(BitVector):
 class CountingWaveletMatrix(WaveletMatrix):
     """A :class:`WaveletMatrix` counting its node-API and query calls.
 
-    ``children`` is the choke point of every range algorithm
-    (``range_distinct``, ``range_intersect``, ``range_next_value``,
+    ``children`` is the choke point of every scalar range algorithm
+    (``range_distinct``, ``range_next_value``,
     ``range_count_distinct``), so counting it yields the per-node cost
-    of all of them without overriding each walker.
+    of all of them without overriding each walker.  The array kernels
+    do not walk nodes one at a time; they count per range.
     """
 
     __slots__ = ()
@@ -100,6 +115,12 @@ class CountingWaveletMatrix(WaveletMatrix):
     def range_intersect(self, b1: int, e1: int, b2: int, e2: int):
         type(self)._obs.inc("wavelet.range_intersect")
         return WaveletMatrix.range_intersect(self, b1, e1, b2, e2)
+
+    def descend_batch(self, ranges, prune_fn=None):
+        # A batch of k ranges counts as k listings — same semantics as
+        # k scalar calls, just one kernel invocation.
+        type(self)._obs.inc("wavelet.range_distinct", np.size(ranges) // 2)
+        return WaveletMatrix.descend_batch(self, ranges, prune_fn)
 
 
 def _claim_sink(counting_cls, metrics: Metrics) -> None:

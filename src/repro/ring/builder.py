@@ -19,7 +19,7 @@ from collections.abc import Iterable
 
 from repro.graph.model import Graph, Triple
 from repro.ring.dictionary import Dictionary
-from repro.ring.ring import Ring
+from repro.ring.ring import Ring, listing_runs
 
 
 class RingIndex:
@@ -143,19 +143,31 @@ class RingIndex:
             return
 
         if predicate is not None:
-            # (?s, p, ?o): §5's single-predicate listing.
+            # (?s, p, ?o): §5's single-predicate listing, on the batch
+            # kernels like the engine's fast path — all subjects take
+            # the C_o lookup and the Eq. 4–5 step at once, the objects
+            # are listed one bounded run of subjects at a time (a
+            # consumer that stops early pays for one run), and the
+            # rank pairs a descent returns are the multiplicities.
             pid = d.predicate_id(predicate)
             inv = d.inverse_predicate(pid)
-            b, e = ring.predicate_range(pid)
-            for s_id, _, _ in ring.L_s.range_distinct(b, e):
-                ob, oe = ring.object_range(s_id)
-                tb, te = ring.backward_step(ob, oe, inv)
-                for o_id, rb, re in ring.L_s.range_distinct(tb, te):
-                    for _ in range(re - rb):
-                        yield (
-                            d.node_label(s_id), predicate,
-                            d.node_label(o_id),
-                        )
+            _, subjects, _, _ = ring.L_s.descend_batch(
+                [ring.predicate_range(pid)]
+            )
+            steps = ring.backward_step_many(
+                ring.object_ranges_many(subjects), inv
+            )
+            labels = d.node_labels
+            for lo, hi in listing_runs(steps[:, 1] - steps[:, 0]):
+                origins, objects, rank_b, rank_e = ring.L_s.descend_batch(
+                    steps[lo:hi]
+                )
+                for s_id, o_id, copies in zip(
+                    subjects[lo:hi][origins].tolist(), objects.tolist(),
+                    (rank_e - rank_b).tolist(),
+                ):
+                    for _ in range(copies):
+                        yield (labels[s_id], predicate, labels[o_id])
             return
 
         if object is not None and subject is None:

@@ -554,6 +554,47 @@ class Ring:
         )
 
 
+#: The most pairs one run of a batched §5 listing may expand before its
+#: caller looks up again (at the clock, the cancel token, the consumer
+#: of a generator).  A work grain, not a switch: every listing is cut
+#: the same way whatever its size.  At ≈ 1 µs per assembled pair a run
+#: is some tens of milliseconds, two orders above the fixed cost of the
+#: descent that feeds it (docs/performance.md has the sweep).
+LISTING_RUN_PAIRS = 1 << 16
+
+
+def listing_runs(bounds: np.ndarray, limit: int | None = None, taken=()):
+    """Cut the items of a batched §5 listing into runs of bounded work.
+
+    ``bounds[i]`` is an upper bound on the pairs item ``i`` (a subject,
+    a mid-point) can add: the width of its step range, or the product
+    of two.  Yields half-open ``(lo, hi)`` index runs in order.  A run
+    is the longest whose bounds sum to less than its *room* — it can be
+    expanded at once and stays under the room — or else the single
+    next item, which may not.  The room is :data:`LISTING_RUN_PAIRS`,
+    and under a ``limit`` no more than what the cap still leaves,
+    ``limit - len(taken)``, read afresh before each run; so a capped
+    listing expands at most one item past its cap, and an uncapped one
+    never holds more than a run (or one item) between two yields.
+    """
+    n = len(bounds)
+    ceiling = LISTING_RUN_PAIRS
+    if limit is not None:
+        ceiling = min(ceiling, limit)
+    # An item at or above the ceiling is a run of its own either way;
+    # clipping it keeps the running total far from overflow.
+    total = np.cumsum(np.minimum(bounds, ceiling))
+    lo = 0
+    while lo < n:
+        room = ceiling
+        if limit is not None:
+            room = min(room, limit - len(taken))
+        fits = (total[lo - 1] if lo else 0) + room
+        hi = max(lo + 1, int(np.searchsorted(total, fits, side="left")))
+        yield lo, hi
+        lo = hi
+
+
 def _boundaries(sorted_keys: np.ndarray, alphabet: int, n: int) -> np.ndarray:
     """Cumulative boundary array: out[x] = #items with key < x.
 

@@ -279,25 +279,15 @@ class WaveletMatrix:
             np.ndarray, np.ndarray]:
         """Vectorized :meth:`rank_pair`: many ranges, one symbol.
 
-        Walks the symbol's root-to-leaf path once, mapping *all* range
-        endpoints down each level with a single vectorized rank call —
-        the bulk shape of the backward-search step (Eqs. 4–5).
+        :meth:`rank_many` over the concatenated endpoints, split in two:
+        all of them ride one root-to-leaf path walk — the bulk shape of
+        the backward-search step (Eqs. 4–5).
         """
-        bs = np.clip(np.asarray(bs, dtype=np.int64), 0, self._n)
-        es = np.clip(np.asarray(es, dtype=np.int64), 0, self._n)
-        self._check_symbol(symbol)
-        k = len(bs)
-        pos = np.concatenate((bs, es))
-        levels, zeros, height, _, _, bottom_start = self.batch_data()
-        for level in range(height):
-            words, cum64, n_bits = levels[level]
-            ranks = rank1_many_words(words, cum64, n_bits, pos)
-            if (symbol >> (height - 1 - level)) & 1:
-                pos = zeros[level] + ranks
-            else:
-                pos = pos - ranks
-        start = int(bottom_start[symbol])
-        return pos[:k] - start, pos[k:] - start
+        bs = np.asarray(bs, dtype=np.int64)
+        ranks = self.rank_many(
+            symbol, np.concatenate((bs, np.asarray(es, dtype=np.int64)))
+        )
+        return ranks[:len(bs)], ranks[len(bs):]
 
     def select(self, symbol: int, j: int) -> int:
         """Position of the ``j``-th (0-based) occurrence of ``symbol``."""
@@ -323,19 +313,21 @@ class WaveletMatrix:
         return [self.access(i) for i in range(self._n)]
 
     # ------------------------------------------------------------------
-    # Decode kernels (bulk inversion of the index, off the query path)
+    # Array kernels over the held level arrays
     # ------------------------------------------------------------------
 
     def _held_levels(self) -> list[tuple[np.ndarray, np.ndarray, int]]:
         """``(words, cum, n_bits)`` per level, straight from the arrays
         the level bit-vectors already hold.
 
-        The decode kernels read these instead of :meth:`batch_data`:
-        on a built matrix that call widens every rank directory to
-        ``int64`` and copies every payload (≈ +23% on the audited
-        ring), and a decode must leave nothing behind on the index.
-        :func:`rank1_many_words` takes the un-widened, sentinel-free
-        form as it is.
+        The decode kernels and the query-path kernels of this class
+        (:meth:`rank_many`, :meth:`descend_batch`,
+        :meth:`range_intersect`) read these instead of
+        :meth:`batch_data`: on a built matrix that call widens every
+        rank directory to ``int64`` and copies every payload (≈ +23% on
+        the audited ring), and neither a decode nor a query may leave
+        anything behind on the index.  :func:`rank1_many_words` takes
+        the un-widened, sentinel-free form as it is.
         """
         return [(bv._words, bv._cum, len(bv)) for bv in self._levels]
 
@@ -368,9 +360,10 @@ class WaveletMatrix:
     def rank_many(self, symbol: int, positions) -> np.ndarray:
         """Vectorized :meth:`rank`: one symbol, many positions.
 
-        The decode-side sibling of :meth:`rank_pair_many` — same path
-        walk, but over the held arrays (see :meth:`_held_levels`), so
-        it leaves no batch mirror on the matrix.
+        One walk of the symbol's root-to-leaf path, each level a single
+        vectorized rank call over the held arrays (see
+        :meth:`_held_levels`), so it leaves no batch mirror on the
+        matrix.
         """
         self._check_symbol(symbol)
         pos = np.clip(np.asarray(positions, dtype=np.int64), 0, self._n)
@@ -493,7 +486,7 @@ class WaveletMatrix:
         with the originating range index alongside.
         """
         arr = np.asarray(ranges, dtype=np.int64).reshape(-1, 2)
-        levels, zeros, height, sigma, _, bottom_start = self.batch_data()
+        height, sigma = self._height, self._sigma
         empty = np.zeros(0, dtype=np.int64)
         if arr.size == 0:
             return empty, empty, empty, empty
@@ -501,7 +494,7 @@ class WaveletMatrix:
         prefix = np.zeros(len(arr), dtype=np.int64)
         b = np.clip(arr[:, 0], 0, self._n)
         e = np.clip(arr[:, 1], 0, self._n)
-        for level in range(height):
+        for level, (words, cum, n_bits) in enumerate(self._held_levels()):
             keep = e > b
             if prune_fn is not None and keep.any():
                 origin, prefix, b, e = (
@@ -515,12 +508,11 @@ class WaveletMatrix:
             k = len(b)
             if k == 0:
                 return empty, empty, empty, empty
-            words, cum64, n_bits = levels[level]
             ranks = rank1_many_words(
-                words, cum64, n_bits, np.concatenate((b, e))
+                words, cum, n_bits, np.concatenate((b, e))
             )
             r1b, r1e = ranks[:k], ranks[k:]
-            z = zeros[level]
+            z = self._zeros[level]
             origin = np.repeat(origin, 2)
             next_prefix = np.empty(2 * k, dtype=np.int64)
             next_b = np.empty(2 * k, dtype=np.int64)
@@ -539,7 +531,7 @@ class WaveletMatrix:
             origin, prefix, b, e = (
                 origin[keep], prefix[keep], b[keep], e[keep]
             )
-        start = bottom_start[prefix]
+        start = self._bottom_start[prefix]
         return origin, prefix, b - start, e - start
 
     def node_occurrences(self, node: WaveletNode) -> int:
@@ -589,7 +581,7 @@ class WaveletMatrix:
         return node.begin - start, node.end - start
 
     # ------------------------------------------------------------------
-    # Range algorithms built on the node API
+    # Range algorithms
     # ------------------------------------------------------------------
 
     def range_distinct(self, b: int, e: int) -> Iterator[tuple[int, int, int]]:
@@ -627,32 +619,42 @@ class WaveletMatrix:
         """Symbols occurring in *both* ranges.
 
         Returns tuples ``(symbol, rank1_b, rank1_e, rank2_b, rank2_e)``
-        in ascending symbol order; runs in O(log sigma) per node of the
+        in ascending symbol order; O(log sigma) per node of the
         intersected traversal (Gagie, Navarro & Puglisi 2012).
+
+        Level-synchronous like :meth:`descend_batch`: the frontier of
+        node *pairs* whose two ranges are both non-empty is one
+        ``(4, k)`` endpoint array, and each level costs one vectorized
+        rank call over all ``4k`` endpoints.
         """
-        results: list[tuple[int, int, int, int, int]] = []
-        stack = [
-            (
-                WaveletNode(0, 0, max(0, b1), min(e1, self._n)),
-                WaveletNode(0, 0, max(0, b2), min(e2, self._n)),
-            )
-        ]
-        while stack:
-            n1, n2 = stack.pop()
-            if n1.is_empty() or n2.is_empty():
-                continue
-            if self.is_leaf(n1):
-                if n1.prefix < self._sigma:
-                    r1b, r1e = self.leaf_global_range(n1)
-                    r2b, r2e = self.leaf_global_range(n2)
-                    results.append((n1.prefix, r1b, r1e, r2b, r2e))
-                continue
-            l1, r1 = self.children(n1)
-            l2, r2 = self.children(n2)
-            stack.append((r1, r2))
-            stack.append((l1, l2))
-        results.sort(key=lambda t: t[0])
-        return results
+        ends = np.array(
+            [[max(0, min(x, self._n))] for x in (b1, e1, b2, e2)],
+            dtype=np.int64,
+        )
+        prefix = np.zeros(1, dtype=np.int64)
+        for (words, cum, n_bits), z in zip(self._held_levels(), self._zeros):
+            keep = (ends[1] > ends[0]) & (ends[3] > ends[2])
+            if not keep.all():
+                ends, prefix = ends[:, keep], prefix[keep]
+            k = len(prefix)
+            if k == 0:
+                return []
+            ranks = rank1_many_words(
+                words, cum, n_bits, ends.ravel()
+            ).reshape(4, k)
+            below = np.empty((4, 2 * k), dtype=np.int64)
+            below[:, 0::2] = ends - ranks
+            below[:, 1::2] = z + ranks
+            ends = below
+            prefix = np.repeat(prefix << 1, 2)
+            prefix[1::2] |= 1
+        keep = (
+            (ends[1] > ends[0]) & (ends[3] > ends[2])
+            & (prefix < self._sigma)
+        )
+        prefix = prefix[keep]
+        ends = ends[:, keep] - self._bottom_start[prefix]
+        return list(zip(prefix.tolist(), *ends.tolist()))
 
     def range_count_distinct(self, b: int, e: int) -> int:
         """Number of distinct symbols in ``[b, e)``.

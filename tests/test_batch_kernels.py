@@ -1,6 +1,6 @@
 """Batch kernels agree with their scalar counterparts, exactly.
 
-Four layers of evidence:
+Five layers of evidence:
 
 * hypothesis property tests pin the vectorized rank/descent kernels to
   the scalar reference implementations, including the clamping and
@@ -17,7 +17,13 @@ Four layers of evidence:
 * an engine-level differential proves the batched traversal returns
   the *identical* pair sets and the identical operation counters as
   the scalar engine on tier-1 graphs — a batch of k must account
-  exactly like k scalar steps.
+  exactly like k scalar steps;
+* the §5 fast paths, which run as array pipelines under ``batch=True``,
+  are held to their scalar ``batch=False`` reference at every result
+  cap (pairs, ``truncated`` and counters), do bounded work under a
+  cap, consult the budget between bounded runs of a listing (a
+  deadline or a cancel stops a large one in the middle) and leave no
+  mirror on the ring.
 
 The differential runs twice: once with production thresholds and once
 with every batched code path forced on (merged L_p waves from one
@@ -394,6 +400,15 @@ def test_concurrent_first_touch_yields_one_block(kg_graph):
 # ----------------------------------------------------------------------
 
 
+def _counter_diffs(rs, rb) -> dict:
+    """``{counter: (scalar, batched)}`` where two results disagree."""
+    return {
+        name: (getattr(rs.stats, name), getattr(rb.stats, name))
+        for name in EXACT_COUNTERS
+        if getattr(rs.stats, name) != getattr(rb.stats, name)
+    }
+
+
 def _assert_engines_agree(index, queries):
     scalar = RingRPQEngine(index, batch=False)
     batched = RingRPQEngine(index, batch=True)
@@ -402,12 +417,7 @@ def _assert_engines_agree(index, queries):
         rb = batched.evaluate(query, timeout=60.0)
         assert not rs.stats.timed_out and not rb.stats.timed_out
         assert rb.pairs == rs.pairs, query
-        diffs = {
-            name: (getattr(rs.stats, name), getattr(rb.stats, name))
-            for name in EXACT_COUNTERS
-            if getattr(rs.stats, name) != getattr(rb.stats, name)
-        }
-        assert not diffs, (query, diffs)
+        assert not _counter_diffs(rs, rb), (query, _counter_diffs(rs, rb))
 
 
 def test_engine_differential_default_thresholds(kg_index):
@@ -456,6 +466,244 @@ def test_dfs_traversal_keeps_scalar_runner(kg_index):
             dfs.evaluate(query, timeout=60.0).pairs
             == bfs.evaluate(query, timeout=60.0).pairs
         )
+
+
+# ----------------------------------------------------------------------
+# §5 fast paths: the array pipelines against the scalar reference
+# ----------------------------------------------------------------------
+
+#: The §5 fast-path shapes over predicates ``a`` and ``b``, in their
+#: six spellings: one predicate forward and inverse, a union, and the
+#: three length-2 paths.
+FAST_SHAPES = ("{a}", "^{a}", "{a}|{b}", "{a}/{b}", "^{a}/{b}", "{a}/^{b}")
+
+
+def _assert_fast_paths_agree(index, query, limits):
+    """``batch=True`` ≡ ``batch=False`` on pairs, flag and counters at
+    every cap in ``limits`` (``"n-1"``/``"n"``/``"n+1"`` are taken
+    around the answer count)."""
+    scalar = RingRPQEngine(index, batch=False)
+    batched = RingRPQEngine(index, batch=True)
+    n = len(scalar.evaluate(query).pairs)
+    around = {"n-1": n - 1, "n": n, "n+1": n + 1}
+    for limit in limits:
+        limit = around.get(limit, limit)
+        rs = scalar.evaluate(query, limit=limit)
+        rb = batched.evaluate(query, limit=limit)
+        where = (query, limit, n)
+        assert rb.pairs == rs.pairs, where
+        assert rb.stats.truncated == rs.stats.truncated, where
+        assert not _counter_diffs(rs, rb), (where, _counter_diffs(rs, rb))
+
+
+@pytest.mark.parametrize("shape", FAST_SHAPES)
+@pytest.mark.parametrize("a, b", [
+    ("p6", "p1"), ("p1", "p0"), ("p0", "p0"), ("p2", "p3"), ("p7", "p6"),
+    ("p11", "p0"),
+])
+def test_fast_path_limit_sweep(kg_index, shape, a, b):
+    _assert_fast_paths_agree(
+        kg_index, f"(?x, {shape.format(a=a, b=b)}, ?y)",
+        (None, 1, 2, 7, 100, 1000, "n-1", "n", "n+1"),
+    )
+
+
+#: A graph with every corner the pipelines must survive at once: five
+#: nodes (σ not a power of two), ``p0`` with a hub (node 0, in- and
+#: out-degree 3: its ``p0/p0`` cross product alone is 9 pairs) and its
+#: inverse twin ``p1``, ``p2`` with self-loops only and its own
+#: inverse, ``p3``/``p4`` with no edges at all.
+_CORNERS = (
+    5, [1, 0, 2, 4, 3],
+    sorted({t for s, o in [(1, 0), (2, 0), (3, 0), (0, 2), (0, 3), (0, 4)]
+            for t in ((s, 0, o), (o, 1, s))}
+           | {(1, 2, 1), (4, 2, 4)}),
+)
+
+
+@pytest.mark.parametrize("compressed", [False, True])
+def test_fast_path_corner_graph(compressed):
+    index = _index_of(_CORNERS, compressed)
+    for a in ("p0", "p2", "p3"):
+        for b in ("p0", "p1", "p2", "p4"):
+            for shape in FAST_SHAPES:
+                _assert_fast_paths_agree(
+                    index, f"(?x, {shape.format(a=a, b=b)}, ?y)",
+                    (None, 1, 2, 3, 8, "n-1", "n", "n+1"),
+                )
+
+
+@pytest.mark.hypothesis
+@settings(max_examples=60, deadline=None)
+@given(graph=completed_graphs(), compressed=st.booleans(),
+       attach=st.booleans(), data=st.data())
+def test_fast_paths_match_scalar_reference(graph, compressed, attach, data):
+    index = _index_of(graph, compressed)
+    if attach:
+        index = _attached(index)
+    predicate = st.sampled_from(index.dictionary.predicate_labels)
+    query = "(?x, {}, ?y)".format(data.draw(st.sampled_from(FAST_SHAPES))
+                                  .format(a=data.draw(predicate),
+                                          b=data.draw(predicate)))
+    _assert_fast_paths_agree(
+        index, query, (None, 1, 2, 3, 7, "n-1", "n", "n+1")
+    )
+
+
+def test_capped_fast_path_does_bounded_work(kg_index):
+    """A capped listing descends a few ranges past its cap, not one per
+    subject of the predicate: the object descents run in chunks cut
+    where the step-range widths say the cap can be reached."""
+    from repro.obs import Metrics, instrument_index
+
+    ring = kg_index.ring
+    pid = max(range(ring.num_predicates), key=ring.predicate_count)
+    label = kg_index.dictionary.predicate_label(pid)
+    n_subjects = ring.count_distinct_subjects_of(pid)
+    limit = 5
+    assert n_subjects > 10 * limit
+    for query, cap in [(f"(?x, {label}, ?y)", limit),
+                       (f"(?x, {label}/^{label}, ?y)", limit)]:
+        metrics = Metrics()
+        with instrument_index(kg_index, metrics):
+            result = kg_index.engine.evaluate(query, limit=cap)
+        assert result.stats.truncated and len(result.pairs) == cap
+        # ranges handed to descend_batch: the one listing of subjects,
+        # then the chunks (two descents per mid-point for a path).
+        assert metrics.count("wavelet.range_distinct") <= 3 * limit, query
+
+
+@pytest.mark.parametrize("shape", FAST_SHAPES)
+def test_fast_paths_honour_the_budget_contract(kg_index, shape):
+    """Zero timeout / pre-tripped cancel: complete, or a flagged subset."""
+    from tests.harness import check_budget_tagging
+
+    query = f"(?x, {shape.format(a='p6', b='p7')}, ?y)"
+    oracle = RingRPQEngine(kg_index, batch=False).evaluate(query).pairs
+    assert oracle
+    check_budget_tagging({"ring": RingRPQEngine(kg_index)}, query, oracle)
+
+
+class _TripsOnConsult:
+    """A cancel token that reads unset until its ``n``-th consultation."""
+
+    def __init__(self, n: int):
+        self.left = n
+
+    def is_set(self) -> bool:
+        self.left -= 1
+        return self.left <= 0
+
+
+@pytest.mark.parametrize("shape", FAST_SHAPES)
+def test_fast_paths_stop_between_runs(kg_index, shape, monkeypatch):
+    """The budget is consulted between the runs of a listing, not once
+    up front: a token tripped after the listing started stops it there,
+    with a flagged, non-empty, strict subset of the answer."""
+    from repro.ring import ring as ring_module
+
+    query = f"(?x, {shape.format(a='p6', b='p7')}, ?y)"
+    engine = RingRPQEngine(kg_index)
+    full = engine.evaluate(query)
+    monkeypatch.setattr(ring_module, "LISTING_RUN_PAIRS", 8)
+    assert engine.evaluate(query).pairs == full.pairs
+    result = engine.evaluate(query, cancel=_TripsOnConsult(3))
+    assert result.stats.cancelled
+    assert result.pairs and result.pairs < full.pairs
+    # Two runs got through, each of at most 7 subjects or mid-points
+    # (every one of them can add a pair), a mid-point taking two steps.
+    assert result.stats.backward_steps <= 2 * 7 * 2
+    assert full.stats.backward_steps > 10 * result.stats.backward_steps
+
+
+def test_fast_path_times_out_inside_a_large_listing():
+    """A deadline shorter than the listing interrupts it: a 20 ms
+    timeout on a predicate of 10⁵ edges, whose ``p/p`` has ≈ 10⁶ pairs,
+    comes back flagged with a partial answer, and ``p/p`` long before
+    its full listing would have."""
+    import random
+    import time
+
+    from repro.graph.model import Graph
+
+    rng = random.Random(3)
+    index = RingIndex.from_graph(Graph(sorted({
+        (f"n{rng.randrange(10_000)}", "p0", f"n{rng.randrange(10_000)}")
+        for _ in range(100_000)
+    })))
+    for query in ("(?x, p0, ?y)", "(?x, p0/p0, ?y)"):
+        started = time.perf_counter()
+        full = index.evaluate(query)
+        full_s = time.perf_counter() - started
+        assert not full.stats.timed_out
+        started = time.perf_counter()
+        partial = index.evaluate(query, timeout=0.02)
+        partial_s = time.perf_counter() - started
+        assert partial.stats.timed_out, query
+        assert partial.pairs and partial.pairs < full.pairs, query
+        if "/" in query:  # the one that runs for most of a second
+            assert partial_s < full_s / 2, (query, partial_s, full_s)
+
+
+def test_listing_runs_partition_and_stay_under_their_room():
+    from repro.ring.ring import LISTING_RUN_PAIRS, listing_runs
+
+    rng = np.random.default_rng(5)
+    bounds = rng.integers(0, 40_000, size=500)
+    bounds[17] = 10 * LISTING_RUN_PAIRS
+    for limit in (None, 1, 1000, 10 ** 9):
+        room = LISTING_RUN_PAIRS if limit is None else min(
+            limit, LISTING_RUN_PAIRS)
+        runs = list(listing_runs(bounds, limit))
+        assert [lo for lo, _ in runs] == [0] + [hi for _, hi in runs[:-1]]
+        assert runs[-1][1] == len(bounds)
+        for lo, hi in runs:
+            assert hi - lo == 1 or bounds[lo:hi].sum() < room
+            # greedy: the next item would not have fitted
+            assert hi == len(bounds) or bounds[lo:hi + 1].sum() >= room
+    assert list(listing_runs(np.zeros(0, dtype=np.int64))) == []
+    # what is already taken shrinks the room of the next run
+    taken = []
+    runs = listing_runs(np.full(10, 3), 10, taken)
+    assert next(runs) == (0, 3)
+    taken.extend(range(9))
+    assert next(runs) == (3, 4)
+
+
+def test_match_pattern_streams_a_predicate_listing(kg_index, monkeypatch):
+    """``(?s, p, ?o)`` lists one bounded run at a time: a consumer that
+    stops after the first triple has paid for one run of subjects, not
+    for the predicate."""
+    from repro.obs import Metrics, instrument_index
+    from repro.ring import ring as ring_module
+
+    ring = kg_index.ring
+    pid = max(range(ring.num_predicates), key=ring.predicate_count)
+    label = kg_index.dictionary.predicate_label(pid)
+    everything = list(kg_index.match_pattern(None, label, None))
+    monkeypatch.setattr(ring_module, "LISTING_RUN_PAIRS", 8)
+    assert list(kg_index.match_pattern(None, label, None)) == everything
+    assert ring.count_distinct_subjects_of(pid) > 50
+    metrics = Metrics()
+    with instrument_index(kg_index, metrics):
+        assert next(kg_index.match_pattern(None, label, None)) \
+            == everything[0]
+    # the subject listing, then at most one run of fewer than 8 pairs
+    assert metrics.count("wavelet.range_distinct") <= 1 + 8
+
+
+def test_fast_paths_leave_the_ring_untouched(kg_graph):
+    """The pipelines read the arrays the bit-vectors already hold: no
+    ``int64``/sentinel mirror may appear on ``L_s`` or ``L_p``."""
+    for index in (RingIndex.from_graph(kg_graph),
+                  _attached(RingIndex.from_graph(kg_graph))):
+        before = index.ring.measure().nbytes
+        for shape in FAST_SHAPES:
+            query = f"(?x, {shape.format(a='p6', b='p7')}, ?y)"
+            assert index.evaluate(query).pairs
+            assert index.evaluate(query, limit=3).stats.truncated
+        assert list(index.match_pattern(None, "p0", None))
+        assert index.ring.measure().nbytes == before
 
 
 # ----------------------------------------------------------------------

@@ -536,15 +536,31 @@ class TestProfileQuery:
             stats.ls_pruned
 
     def test_fast_path_hits_method_level_counters(self, kg_index):
-        """The §5 fast paths go through the succinct structures' method
-        APIs, so the class-swap instrumentation sees their rank/select
-        and backward-step calls directly."""
+        """The §5 fast paths run on the array kernels, which the
+        instrumentation counts per range — the totals k scalar calls
+        would give — next to the arithmetic ``stats.storage_ops``.  The
+        per-rank ``bitvector.rank`` counter belongs to the scalar
+        method-call path: the ``batch=False`` reference hits it."""
         report = profile_query(kg_index, "(?x, p0, ?y)")
         assert len(report.result) > 0
-        assert report.metrics.count("ring.backward_step") > 0
-        assert report.metrics.count("wavelet.range_distinct") > 0
-        assert report.metrics.count("bitvector.rank") > 0
-        assert report.stats.backward_steps > 0
+        subjects = {s for s, _ in report.result.pairs}
+        assert report.metrics.count("ring.backward_step") == len(subjects)
+        # one listing of the subjects, one listing per subject
+        assert report.metrics.count("wavelet.range_distinct") == \
+            1 + len(subjects)
+        assert report.metrics.count("bitvector.rank") == 0
+        assert report.stats.backward_steps == len(subjects)
+        assert report.stats.storage_ops > 0
+
+        scalar = profile_query(
+            kg_index, "(?x, p0, ?y)",
+            engine=RingRPQEngine(kg_index, batch=False),
+        )
+        assert scalar.result.pairs == report.result.pairs
+        assert scalar.stats.storage_ops == report.stats.storage_ops
+        for name in ("ring.backward_step", "wavelet.range_distinct"):
+            assert scalar.metrics.count(name) == report.metrics.count(name)
+        assert scalar.metrics.count("bitvector.rank") > 0
 
     def test_format_table_and_json(self, kg_index):
         report = profile_query(

@@ -298,3 +298,68 @@ def test_matrix_ranges_match_tree_under_instrumentation(data, sigma):
     assert plain_intersect == counted_intersect == expected_intersect
     assert metrics.count("wavelet.range_distinct") == 1
     assert metrics.count("wavelet.range_intersect") == 1
+
+
+# ----------------------------------------------------------------------
+# range_intersect: the level-synchronous kernel at its edges
+# ----------------------------------------------------------------------
+
+
+def _view_of(wm: WaveletMatrix) -> WaveletMatrix:
+    """The same matrix reassembled from packed level buffers, the way a
+    snapshot attaches it (``int64`` directories, sentinel words)."""
+    from repro.succinct.bitvector import BitVector
+
+    return WaveletMatrix.from_parts(
+        [BitVector.from_packed(*bv.batch_data()) for bv in wm._levels],
+        len(wm), wm.sigma, wm._counts, wm._class_cum, wm._bottom_start,
+    )
+
+
+def _intersect_by_counting(seq, b1, e1, b2, e2):
+    clamp = lambda x: max(0, min(x, len(seq)))  # noqa: E731
+    b1, e1, b2, e2 = map(clamp, (b1, e1, b2, e2))
+    return [
+        (c, seq[:b1].count(c), seq[:e1].count(c),
+         seq[:b2].count(c), seq[:e2].count(c))
+        for c in sorted(set(seq[b1:e1]) & set(seq[b2:e2]))
+    ]
+
+
+@pytest.mark.parametrize("view", [False, True], ids=["built", "view"])
+@pytest.mark.parametrize("ranges", [
+    (0, 12, 0, 12),       # identical, everything
+    (2, 9, 2, 9),         # identical, inner
+    (0, 6, 6, 12),        # disjoint positions, shared symbols
+    (4, 4, 0, 12),        # first empty
+    (0, 12, 7, 7),        # second empty
+    (9, 3, 0, 12),        # first inverted
+    (0, 12, 12, 0),       # second inverted
+    (-5, 4, 8, 40),       # endpoints outside [0, n], clamped
+    (-9, -2, 0, 12),      # wholly left of the sequence
+    (13, 99, 0, 12),      # wholly right of it
+    (0, 10 ** 30, -10 ** 30, 12),  # beyond any machine word
+    (0, 1, 8, 9),         # single positions, the same symbol
+    (1, 2, 6, 7),         # single positions, nothing in common
+], ids=str)
+def test_range_intersect_edges(ranges, view):
+    wm = WaveletMatrix(SEQ, SIGMA)
+    before = wm.measure().nbytes
+    got = (_view_of(wm) if view else wm).range_intersect(*ranges)
+    assert got == _intersect_by_counting(SEQ, *ranges)
+    assert got == WaveletTree(SEQ, SIGMA).range_intersect(*ranges)
+    assert all(type(x) is int for row in got for x in row)
+    if not view:
+        assert wm.measure().nbytes == before  # no mirror left behind
+
+
+@pytest.mark.parametrize("sigma", [1, 2, 5, 8, 9])
+def test_range_intersect_small_alphabets(sigma):
+    """σ = 1 (one padded level), powers of two, and the padded leaves
+    of a non-power-of-two alphabet never leak into the answer."""
+    seq = [(i * 7 + i // 3) % sigma for i in range(40)]
+    wm = WaveletMatrix(seq, sigma)
+    for ranges in [(0, 40, 0, 40), (0, 13, 11, 40), (5, 6, 0, 40)]:
+        assert wm.range_intersect(*ranges) == \
+            _intersect_by_counting(seq, *ranges)
+    assert WaveletMatrix([], sigma).range_intersect(0, 5, 0, 5) == []
