@@ -1,61 +1,70 @@
-"""Batched backward product-graph traversal (the §4 algorithm on
-frontier-at-once kernels).
+"""The backward product-graph traversal of §4, one runner.
 
-:class:`BatchedBackwardRun` evaluates the same BFS the scalar
-:class:`~repro.core.engine._BackwardRun` performs, but restructured so
-the hot work runs on whole *frontiers*:
+:class:`BatchedBackwardRun` is the BFS of §4.1–4.3 over (object range,
+state set) entries, for one anchor or for many anchored subqueries in
+lockstep.  The pending queue is consumed wave by wave (one wave = one
+BFS generation).  Every entry can be expanded on its own — one stack
+walk of ``L_p`` pruned by the ``B[v]`` masks, and at each accepted
+predicate leaf one stack walk of ``L_s`` pruned by the ``D[v]`` marks,
+all on Python ints — and that is the whole algorithm.  Where a frontier
+is wide the same work runs on whole frontiers instead:
 
-* the pending BFS queue is consumed wave by wave (one wave = one BFS
-  generation), and all L_p descents of a wave merge into one
-  level-synchronous frontier — the ``B[v]`` mask pruning of §4.1
-  becomes a numpy boolean filter against a per-level mask array, and
-  each level costs one vectorized rank call
-  (:func:`repro._util.bits.rank1_many_words`) instead of two scalar
-  ranks per node;
+* all L_p descents of a wave merge into one level-synchronous frontier
+  — the ``B[v]`` mask pruning of §4.1 becomes a numpy boolean filter
+  against a per-level mask array, and each level costs one vectorized
+  rank call (:func:`repro._util.bits.rank1_many_words`) instead of two
+  scalar ranks per node;
 * the L_s descents of §4.2 mutate per-run state (the ``D`` visited
   table and the ``D[v]`` node marks), so descents of the *same* anchor
   stay sequential; descents of *different* anchors are independent and
   run merged, one round-robin round at a time, with per-element anchor
   provenance carried in a parallel array.
 
+What decides between the two is what the runner can observe: a wave
+merges when it has at least ``_LP_WAVE_MIN`` entries and the automaton's
+masks fit an ``int64`` column (``prepared.mask_levels`` is None for
+more than 63 states), and an L_s round merges when it holds at least
+``_LS_ROUND_MIN`` descents; below those widths the numpy fixed costs
+exceed the saving.  An engine built with ``batch=False`` never merges —
+the reference the differential tests hold the merged paths to.
+
 Correctness of the reordering:
 
 * The wavelet matrix is a perfect tree — every leaf sits at level
   ``height`` — and children are emitted in ``[left, right]`` order, so
   a level-synchronous descent reports leaves in exactly the order the
-  scalar DFS (push right, push left, pop) visits them.
+  stack walk (push right, push left, pop) visits them.
 * An L_p descent reads no mutable traversal state, so merging the
   descents of one wave cannot change any outcome; each entry's leaf
-  list is what its scalar ``_expand`` would produce.
+  list is what its own stack walk would produce.
 * Within one L_s descent every conceptual ``(level, prefix)`` node and
   every subject appears at most once, so level order vs DFS order
   cannot change a prune decision; across descents of one anchor the
-  sequential task order preserves the scalar mutation order; across
-  anchors the dictionaries are disjoint.
+  sequential task order preserves the entry-by-entry mutation order;
+  across anchors the dictionaries are disjoint.
 
 Counter semantics are preserved exactly — a batch of ``k`` nodes
 counts as ``k`` in every bucket, so the PR-1 invariants
 (``lp_nodes + lp_pruned + lp_empty == lp_descents + lp_children`` and
 the L_s analogue) keep holding and the engine-level differential test
-can assert batched == scalar counter for counter.  The only divergence
-is on early-exited runs (result cap hit, or boolean target found): the
-batched wave has already accounted the whole L_p leaf scan it was in,
-where the scalar loop stops mid-scan.  Reported *results* are
+can assert merged == unmerged counter for counter.  The only divergence
+is on early-exited runs (result cap hit, or boolean target found): a
+merged wave has already accounted the whole L_p leaf scan it was in,
+where the entry-by-entry walk stops mid-scan.  Reported *results* are
 identical either way, because leaves are processed in the same order
 up to the stopping point.
 
 Timeout ticks fire only at *balanced* points — end of an L_p wave, end
-of an L_s descent — at a carry-accumulated rate of one
-:meth:`_Budget.tick` per 256 processed nodes.  A
+of an entry's expansion, end of an L_s round — at a carry-accumulated
+rate of one :meth:`_Budget.tick` per 256 processed nodes.  A
 :class:`~repro.errors.QueryTimeoutError` therefore always surfaces
 with balanced counter buckets, which the partial-stats-on-timeout
 regression test relies on.
 
-Small frontiers fall back to the scalar code path (same counters, no
-numpy fixed costs): waves of fewer than ``_LP_WAVE_MIN`` entries run
-the per-entry scalar expand, single-task L_s rounds run the scalar
-collect, and merged rounds only vectorize their rank calls once the
-level frontier reaches ``_VEC_MIN`` elements.
+Both forms read the arrays the ring already holds: the stack walks the
+Python-int lists of :meth:`WaveletMatrix.traversal_data`, the merged
+kernels :meth:`WaveletMatrix._held_levels`.  A run leaves nothing
+behind on the index.
 """
 
 from __future__ import annotations
@@ -67,35 +76,25 @@ import numpy as np
 from repro._util.bits import rank1_many_words
 from repro.automata.glushkov import GlushkovAutomaton
 
-#: Waves with fewer pending entries than this expand entry-by-entry on
-#: the scalar path; the numpy level machinery costs ~tens of µs per
-#: wave, which only pays off once several descents share it.
+#: Waves with fewer pending entries than this expand entry by entry;
+#: the numpy level machinery costs ~tens of µs per wave, which only
+#: pays off once several descents share it.
 _LP_WAVE_MIN = 8
 
-#: Level frontiers of merged L_s rounds below this size rank with the
-#: inline Python fast path instead of the vectorized kernel.
-_VEC_MIN = 16
-
-#: L_s rounds merging fewer descents than this run them sequentially on
-#: the scalar path instead: the per-subject work is dict-bound either
-#: way, so the merge's frontier bookkeeping only pays off once enough
-#: descents share each level's rank call.
+#: L_s rounds merging fewer descents than this run them one after the
+#: other instead: the per-subject work is dict-bound either way, so the
+#: merge's frontier bookkeeping only pays off once enough descents
+#: share each level's rank call.
 _LS_ROUND_MIN = 32
 
-#: One timeout tick per this many processed wavelet nodes (matches the
-#: scalar runner's ``pops & 255`` throttle).
+#: One timeout tick per this many processed wavelet nodes.
 _TICK_GRAIN = 256
 
 
 class BatchedBackwardRun:
-    """Backward BFS over one prepared query, batched across anchors.
-
-    Drop-in behavioural equivalent of the scalar ``_BackwardRun`` (same
-    reported sets, same counters); additionally supports running many
-    anchored subqueries in lockstep via :meth:`run_many`.  Requires
-    ``prepared.batchable`` (state masks fitting an int64) and BFS
-    traversal order.
-    """
+    """Backward BFS over one prepared query, for one anchor
+    (:meth:`run`) or many anchored subqueries in lockstep
+    (:meth:`run_many`)."""
 
     def __init__(self, engine, prepared, ctx, prune: bool):
         self.engine = engine
@@ -105,6 +104,8 @@ class BatchedBackwardRun:
         self.prune = prune
         self.obs = ctx.obs
         self.forbidden = ctx.forbidden_ids
+        # int64 mask columns exist for automata of at most 63 states.
+        self.merge = engine.batch and prepared.mask_levels is not None
         self._tick_carry = 0
         # Per-anchor traversal state, filled by _run:
         self.visited: list[dict[int, int]] = []
@@ -127,7 +128,14 @@ class BatchedBackwardRun:
         max_reported: int | None = None,
         target: int | None = None,
     ) -> set[int]:
-        """Single-anchor run; same contract as ``_BackwardRun.run``."""
+        """Traverse from one start range and return the reported ids.
+
+        ``start_node=None`` means the full-range start of a v-to-v
+        first pass: every node is then treated as already visited with
+        the final states (minus the initial state, which must stay
+        reportable).  ``target`` enables the early exit of fixed-fixed
+        queries; ``max_reported`` implements the result cap.
+        """
         return self._run(
             [start_node], [start_range], max_reported, target
         )[0]
@@ -210,17 +218,16 @@ class BatchedBackwardRun:
             if spans is not None:
                 wave_span = spans.start("wave")
                 wave_span.set(width=len(entries))
-        if len(entries) < _LP_WAVE_MIN:
-            for ai, b_o, e_o, d in entries:
-                self._expand_entry_scalar(ai, b_o, e_o, d)
-                if self.done:
-                    break
-            self._tick_flush()
-        else:
+        if self.merge and len(entries) >= _LP_WAVE_MIN:
             tasks = self._lp_wave(entries)
             self._tick_flush()
-            if not self.done:
-                self._run_rounds(tasks)
+            self._run_rounds(tasks)
+        else:
+            for ai, b_o, e_o, d in entries:
+                self._expand_entry_scalar(ai, b_o, e_o, d)
+                self._tick_flush()
+                if self.done:
+                    break
         if wave_span is not None:
             wave_span.set(next_width=len(self._next_wave))
             spans.end(wave_span)
@@ -249,10 +256,9 @@ class BatchedBackwardRun:
                     self._collect_scalar(ai, b_s, e_s, d_next)
                     if self.done:
                         break
-                self._tick_flush()
             else:
                 self._collect_round(round_tasks)
-                self._tick_flush()
+            self._tick_flush()
             if round_span is not None:
                 spans.end(round_span)
 
@@ -272,7 +278,7 @@ class BatchedBackwardRun:
 
         Returns ``{anchor_index: [(b_s, e_s, d_next), ...]}`` — the
         accepted predicate leaves mapped through the backward step, in
-        scalar order (entry-major, predicate ascending).
+        stack-walk order (entry-major, predicate ascending).
         """
         stats = self.stats
         prepared = self.prepared
@@ -282,11 +288,11 @@ class BatchedBackwardRun:
         step_prefiltered = prepared.reverse.step_prefiltered
         ring = self.engine.ring
         c_p = ring.C_p.fast_list() or ring.C_p
-        levels, zeros, height, _, _, _ = self.engine.lp_batch
-        # Python-int bottom offsets: the leaf hand-off feeds the scalar
-        # L_s walkers, which must not receive numpy int64 values (their
+        levels = ring.L_p._held_levels()
+        # Python-int bottom offsets: the leaf hand-off feeds the L_s
+        # stack walk, which must not receive numpy int64 values (its
         # word masks are Python ints wider than a C long).
-        bottom_start = self.engine.lp_data[5]
+        _, zeros, height, _, _, bottom_start = self.engine.lp_data
         obs = self.obs
         timed = obs.enabled
         tracing = obs.tracing
@@ -340,9 +346,9 @@ class BatchedBackwardRun:
                         break
             lp_nodes += k
             lp_children += 2 * k
-            words, cum64, n_bits = levels[level]
+            words, cum, n_bits = levels[level]
             ranks = rank1_many_words(
-                words, cum64, n_bits, np.concatenate((b, e))
+                words, cum, n_bits, np.concatenate((b, e))
             )
             r1b, r1e = ranks[:k], ranks[k:]
             z = zeros[level]
@@ -443,8 +449,7 @@ class BatchedBackwardRun:
 
         The frontier is kept as parallel Python lists (the per-node
         work is dict-heavy and must run per element anyway); only the
-        rank mapping to the next level is vectorized, and only once the
-        frontier is wide enough to amortise the kernel call.
+        rank mapping to the next level is vectorized.
         """
         stats = self.stats
         prune = self.prune
@@ -454,8 +459,8 @@ class BatchedBackwardRun:
         reported_by_anchor = self.reported
         ring = self.engine.ring
         c_o = ring.C_o.fast_list() or ring.C_o
-        levels_py, zeros, height, sigma, class_cum, _ = self.engine.ls_data
-        levels_np = self.engine.ls_batch[0]
+        levels = ring.L_s._held_levels()
+        _, zeros, height, sigma, class_cum, _ = self.engine.ls_data
         initial_mask = GlushkovAutomaton.INITIAL_MASK
         max_reported = self.max_reported
         target = self.target
@@ -531,47 +536,18 @@ class BatchedBackwardRun:
                 tid = []
                 break
             z = zeros[level]
-            if k >= _VEC_MIN:
-                words, cum64, n_bits = levels_np[level]
-                ranks = rank1_many_words(
-                    words, cum64, n_bits,
-                    np.fromiter(kb + ke, np.int64, 2 * k),
-                )
-                r1b = ranks[:k].tolist()
-                r1e = ranks[k:].tolist()
-            else:
-                words, cum, n_bits = levels_py[level]
-                r1b = []
-                r1e = []
-                for pos in kb:
-                    if pos <= 0:
-                        r1b.append(0)
-                    elif pos >= n_bits:
-                        r1b.append(cum[-1])
-                    else:
-                        w = pos >> 6
-                        off = pos & 63
-                        r = cum[w]
-                        if off:
-                            r += (words[w] & ((1 << off) - 1)).bit_count()
-                        r1b.append(r)
-                for pos in ke:
-                    if pos >= n_bits:
-                        r1e.append(cum[-1])
-                    else:
-                        w = pos >> 6
-                        off = pos & 63
-                        r = cum[w]
-                        if off:
-                            r += (words[w] & ((1 << off) - 1)).bit_count()
-                        r1e.append(r)
+            words, cum, n_bits = levels[level]
+            ranks = rank1_many_words(
+                words, cum, n_bits, np.fromiter(kb + ke, np.int64, 2 * k)
+            ).tolist()
+            r1b, r1e = ranks[:k], ranks[k:]
             tid = [t for t in kt for _ in (0, 1)]
             prefix = [q for p in kp for q in (p << 1, (p << 1) | 1)]
             bs = [v for pb, rb in zip(kb, r1b) for v in (pb - rb, z + rb)]
             es = [v for pe, re in zip(ke, r1e) for v in (pe - re, z + re)]
 
-        # Leaf level: visit subjects per element, exactly the scalar
-        # leaf logic against the owning anchor's state.
+        # Leaf level: visit subjects per element, exactly the stack
+        # walk's leaf logic against the owning anchor's state.
         product_nodes = object_ranges = 0
         next_wave = self._next_wave
         k = len(tid)
@@ -627,14 +603,17 @@ class BatchedBackwardRun:
             obs.add_phase("subjects_from_predicates", now() - t_start)
 
     # ------------------------------------------------------------------
-    # Scalar fallbacks (reference semantics, small frontiers)
+    # One entry at a time (narrow frontiers, > 63 states, batch=False)
     # ------------------------------------------------------------------
-    # These mirror ``_BackwardRun._expand`` / ``_collect_subjects``
-    # statement for statement (bar the per-anchor state and the
-    # carry-based ticking); any change there must be replayed here.
 
     def _expand_entry_scalar(self, ai, b_o, e_o, d):
-        """Scalar L_p descent of one entry, collects inline at leaves."""
+        """Parts 1–3 of one NFA step for one entry.
+
+        The ``L_p`` descent is the node-API walk of §4.1 unrolled onto
+        :meth:`WaveletMatrix.traversal_data` arrays — identical
+        traversal order and pruning decisions, without per-node object
+        construction — and collects inline at each accepted leaf.
+        """
         ring = self.engine.ring
         prepared = self.prepared
         bv_masks = prepared.bv_masks
@@ -732,7 +711,8 @@ class BatchedBackwardRun:
             obs.add_phase("predicates_from_objects", now() - t_start - t_sub)
 
     def _collect_scalar(self, ai, b_s, e_s, d_next):
-        """Scalar L_s descent of one task (§4.2 reference walk)."""
+        """Part 2 for one task: distinct unvisited subjects in
+        ``L_s[b_s, e_s)``, each mapped on to its object range."""
         ring = self.engine.ring
         stats = self.stats
         prune = self.prune
@@ -806,7 +786,9 @@ class BatchedBackwardRun:
                     stats.ls_pruned += 1
                     continue
                 # Record the visit only when the range *covers* the node
-                # (see the scalar reference and DESIGN.md "Deviations").
+                # (every occurrence below it is inside the range) — the
+                # paper's unconditional update is unsound for partial
+                # ranges; see DESIGN.md "Deviations".
                 shift = height - level
                 lo = prefix << shift
                 hi = lo + (1 << shift)

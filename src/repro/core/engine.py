@@ -30,17 +30,13 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from collections.abc import Iterable
 
 import numpy as np
 
 from repro.automata.bitparallel import ReverseSimulator
-from repro.automata.glushkov import (
-    GlushkovAutomaton,
-    build_glushkov,
-    resolve_atom_to_predicates,
-)
+from repro.automata.glushkov import build_glushkov, resolve_atom_to_predicates
 from repro.automata.syntax import Concat, RegexNode, Symbol, Union
 from repro.core.batchrun import BatchedBackwardRun
 from repro.core.planner import choose_anchor_side
@@ -141,8 +137,7 @@ class _Prepared:
     """
 
     __slots__ = (
-        "automaton", "b_masks", "bv_masks", "reverse", "batchable",
-        "mask_levels",
+        "automaton", "b_masks", "bv_masks", "reverse", "mask_levels",
     )
 
     def __init__(self, expr: RegexNode, index) -> None:
@@ -159,11 +154,11 @@ class _Prepared:
                 bv[key] = bv.get(key, 0) | mask
         self.bv_masks = bv
         self.reverse = ReverseSimulator(self.automaton, self.b_masks)
-        # The batched traversal keeps NFA state sets in int64 arrays, so
-        # it only applies while every mask fits a signed 64-bit word;
-        # larger automata fall back to the scalar runner (Python ints).
-        self.batchable = self.automaton.num_states <= 63
-        if self.batchable:
+        # A merged L_p wave keeps NFA state sets in int64 columns, so it
+        # needs every mask to fit a signed 64-bit word; for a larger
+        # automaton ``mask_levels`` is None and the runner expands each
+        # entry on its own, on Python-int masks.
+        if self.automaton.num_states <= 63:
             # bv_masks as one dense int64 array per level, so the §4.1
             # prune becomes ``mask_levels[level][prefix] & D`` over the
             # whole frontier.  Level ``height`` rows equal ``b_masks``.
@@ -176,339 +171,6 @@ class _Prepared:
             self.mask_levels = mask_levels
         else:
             self.mask_levels = None
-
-
-class _BackwardRun:
-    """One backward product-graph traversal (BFS) on a prepared query."""
-
-    def __init__(
-        self,
-        engine: "RingRPQEngine",
-        prepared: _Prepared,
-        ctx: _EvalContext,
-        prune: bool,
-    ):
-        self.engine = engine
-        self.prepared = prepared
-        self.budget = ctx.budget
-        self.stats = ctx.stats
-        self.prune = prune
-        self.obs = ctx.obs
-        self.forbidden = ctx.forbidden_ids
-        self.visited: dict[int, int] = {}
-        self.vnode_visited: dict[tuple[int, int], int] = {}
-        self.base_mask = 0
-
-    def run(
-        self,
-        start_range: tuple[int, int],
-        start_node: int | None,
-        max_reported: int | None = None,
-        target: int | None = None,
-    ) -> set[int]:
-        """Traverse and return the reported node ids.
-
-        ``start_node=None`` means the full-range start of a v-to-v
-        first pass: every node is then treated as already visited with
-        the final states (minus the initial state, which must stay
-        reportable).  ``target`` enables the early exit of fixed-fixed
-        queries; ``max_reported`` implements the result cap.
-        """
-        automaton = self.prepared.automaton
-        start_mask = automaton.final_mask
-        reported: set[int] = set()
-        if start_mask == 0:
-            return reported
-
-        if start_node is None:
-            self.base_mask = start_mask & ~GlushkovAutomaton.INITIAL_MASK
-        else:
-            self.visited[start_node] = start_mask
-        full_mask = (1 << automaton.num_states) - 1
-        for node in self.forbidden:
-            self.visited[node] = full_mask
-
-        queue: deque[tuple[tuple[int, int], int]] = deque()
-        queue.append((start_range, start_mask))
-        pop = (queue.popleft if self.engine.traversal == "bfs"
-               else queue.pop)
-        obs = self.obs
-        enabled = obs.enabled
-        tracing = obs.tracing
-        spans = obs.spans if enabled else None
-
-        while queue:
-            (b_o, e_o), d = pop()
-            if b_o >= e_o:
-                continue
-            step_span = None
-            if enabled:
-                obs.inc("engine.steps")
-                if tracing:
-                    obs.record("step", range=(b_o, e_o), states=d)
-                if spans is not None:
-                    step_span = spans.start("step")
-            done = self._expand(
-                b_o, e_o, d, queue, reported, max_reported, target
-            )
-            if step_span is not None:
-                step_span.set(range=(b_o, e_o))
-                spans.end(step_span)
-            if done:
-                break
-        self.stats.visited_nodes = max(
-            self.stats.visited_nodes, len(self.visited)
-        )
-        return reported
-
-    # ------------------------------------------------------------------
-
-    def _expand(
-        self,
-        b_o: int,
-        e_o: int,
-        d: int,
-        queue: deque,
-        reported: set[int],
-        max_reported: int | None,
-        target: int | None,
-    ) -> bool:
-        """Parts 1–3 of one NFA step; True when the run should stop.
-
-        The ``L_p`` descent below is the node-API walk of §4.1 unrolled
-        onto :meth:`WaveletMatrix.traversal_data` arrays: identical
-        traversal order and pruning decisions, but without per-node
-        object construction (see the accessor's docstring).
-        """
-        ring = self.engine.ring
-        prepared = self.prepared
-        bv_masks = prepared.bv_masks
-        b_masks = prepared.b_masks
-        step_prefiltered = prepared.reverse.step_prefiltered
-        stats = self.stats
-        tick = self.budget.tick
-        prune = self.prune
-        c_p = ring.C_p.fast_list() or ring.C_p
-        levels, zeros, height, _, _, bottom_start = self.engine.lp_data
-        obs = self.obs
-        timed = obs.enabled
-        tracing = obs.tracing
-        now = time.monotonic
-        if timed:
-            t_start = now()
-            t_sub = 0.0
-        stats.lp_descents += 1
-
-        stack = [(0, 0, b_o, e_o)]
-        pops = 0
-        done = False
-        while stack:
-            pops += 1
-            if not pops & 255:
-                tick()
-            level, prefix, b, e = stack.pop()
-            if b >= e:
-                stats.lp_empty += 1
-                continue
-            stats.wavelet_nodes += 1
-            if prune:
-                filtered = d & bv_masks.get((level, prefix), 0)
-                if filtered == 0:
-                    stats.lp_pruned += 1
-                    continue
-            stats.lp_nodes += 1
-            if level == height:
-                pid = prefix
-                filtered = d & b_masks.get(pid, 0)
-                if filtered == 0:
-                    continue  # reachable only when pruning is disabled
-                start = bottom_start[pid]
-                base = c_p[pid]
-                b_s, e_s = base + (b - start), base + (e - start)
-                if b_s >= e_s:
-                    continue
-                stats.product_edges += 1
-                stats.backward_steps += 1
-                d_next = step_prefiltered(filtered)
-                if d_next == 0:
-                    continue
-                if tracing:
-                    obs.record(
-                        "backward_step", pid=pid, range=(b_s, e_s),
-                        states=d_next,
-                    )
-                if timed:
-                    t0 = now()
-                    done = self._collect_subjects(
-                        b_s, e_s, d_next, queue, reported, max_reported,
-                        target,
-                    )
-                    t_sub += now() - t0
-                else:
-                    done = self._collect_subjects(
-                        b_s, e_s, d_next, queue, reported, max_reported,
-                        target,
-                    )
-                if done:
-                    break
-            else:
-                stats.lp_children += 2
-                stats.storage_ops += 2
-                words, cum, n_bits = levels[level]
-                # rank1(b), rank1(e) inlined (BitVector fast path).
-                if b <= 0:
-                    r1b = 0
-                elif b >= n_bits:
-                    r1b = cum[-1]
-                else:
-                    w = b >> 6
-                    off = b & 63
-                    r1b = cum[w]
-                    if off:
-                        r1b += (words[w] & ((1 << off) - 1)).bit_count()
-                if e >= n_bits:
-                    r1e = cum[-1]
-                else:
-                    w = e >> 6
-                    off = e & 63
-                    r1e = cum[w]
-                    if off:
-                        r1e += (words[w] & ((1 << off) - 1)).bit_count()
-                z = zeros[level]
-                next_level = level + 1
-                stack.append(
-                    (next_level, (prefix << 1) | 1, z + r1b, z + r1e)
-                )
-                stack.append(
-                    (next_level, prefix << 1, b - r1b, e - r1e)
-                )
-        if timed:
-            obs.add_phase("predicates_from_objects", now() - t_start - t_sub)
-        return done
-
-    def _collect_subjects(
-        self,
-        b_s: int,
-        e_s: int,
-        d_next: int,
-        queue: deque,
-        reported: set[int],
-        max_reported: int | None,
-        target: int | None,
-    ) -> bool:
-        """Part 2: distinct unvisited subjects in ``L_s[b_s, e_s)``."""
-        ring = self.engine.ring
-        stats = self.stats
-        tick = self.budget.tick
-        prune = self.prune
-        visited = self.visited
-        vnode_visited = self.vnode_visited
-        base_mask = self.base_mask
-        c_o = ring.C_o.fast_list() or ring.C_o
-        levels, zeros, height, sigma, class_cum, _ = self.engine.ls_data
-        initial_mask = GlushkovAutomaton.INITIAL_MASK
-        obs = self.obs
-        timed = obs.enabled
-        tracing = obs.tracing
-        now = time.monotonic
-        if timed:
-            t_start = now()
-            t_obj = 0.0
-        stats.ls_descents += 1
-
-        stack = [(0, 0, b_s, e_s)]
-        pops = 0
-        done = False
-        while stack:
-            pops += 1
-            if not pops & 255:
-                tick()
-            level, prefix, b, e = stack.pop()
-            if b >= e:
-                stats.ls_empty += 1
-                continue
-            stats.wavelet_nodes += 1
-            if level == height:
-                subject = prefix
-                seen = visited.get(subject, base_mask)
-                if d_next | seen == seen:
-                    stats.ls_pruned += 1
-                    continue
-                stats.ls_nodes += 1
-                d_new = d_next & ~seen
-                visited[subject] = seen | d_next
-                stats.product_nodes += 1
-                if d_new & initial_mask:
-                    reported.add(subject)
-                    if tracing:
-                        obs.record("emit", subject=subject, states=d_new)
-                    if target is not None and subject == target:
-                        done = True
-                        break
-                    if (
-                        max_reported is not None
-                        and len(reported) >= max_reported
-                    ):
-                        stats.truncated = True
-                        done = True
-                        break
-                if timed:
-                    t0 = now()
-                stats.object_ranges += 1
-                ob = c_o[subject]
-                oe = c_o[subject + 1]
-                if ob < oe:
-                    queue.append(((ob, oe), d_new))
-                if timed:
-                    t_obj += now() - t0
-                continue
-            if prune:
-                key = (level, prefix)
-                seen = vnode_visited.get(key, base_mask)
-                if d_next | seen == seen:
-                    stats.ls_pruned += 1
-                    continue
-                # Record the visit only when the range *covers* the node
-                # (every occurrence below it is inside the range) — the
-                # paper's unconditional update is unsound for partial
-                # ranges; see DESIGN.md "Deviations".
-                shift = height - level
-                lo = prefix << shift
-                hi = lo + (1 << shift)
-                if hi > sigma:
-                    hi = sigma
-                if class_cum[hi] - class_cum[lo] == e - b:
-                    vnode_visited[key] = seen | d_next
-            stats.ls_nodes += 1
-            stats.ls_children += 2
-            stats.storage_ops += 2
-            words, cum, n_bits = levels[level]
-            if b <= 0:
-                r1b = 0
-            elif b >= n_bits:
-                r1b = cum[-1]
-            else:
-                w = b >> 6
-                off = b & 63
-                r1b = cum[w]
-                if off:
-                    r1b += (words[w] & ((1 << off) - 1)).bit_count()
-            if e >= n_bits:
-                r1e = cum[-1]
-            else:
-                w = e >> 6
-                off = e & 63
-                r1e = cum[w]
-                if off:
-                    r1e += (words[w] & ((1 << off) - 1)).bit_count()
-            z = zeros[level]
-            next_level = level + 1
-            stack.append((next_level, (prefix << 1) | 1, z + r1b, z + r1e))
-            stack.append((next_level, prefix << 1, b - r1b, e - r1e))
-        if timed:
-            obs.add_phase("subjects_from_predicates", now() - t_start - t_obj)
-            obs.add_phase("subjects_to_objects", t_obj)
-        return done
 
 
 def _add_partner_pairs(
@@ -543,17 +205,13 @@ class RingRPQEngine:
         Enable the §5 start-side cardinality heuristic for
         variable-to-variable and fixed-fixed queries; when off, the
         subject side is always anchored first.
-    traversal:
-        ``"bfs"`` (the paper's running example) or ``"dfs"`` — the
-        order in which pending (node, state-set) entries expand.  §3.2
-        allows any graph search; answers are identical either way, the
-        memory/locality profile differs.
     batch:
-        Use the frontier-batched traversal runner
-        (:class:`~repro.core.batchrun.BatchedBackwardRun`) where it
-        applies — BFS order and automata of at most 63 states; other
-        configurations, and small frontiers, keep the scalar runner.
-        Off gives the pure scalar reference engine.
+        Let the traversal runner
+        (:class:`~repro.core.batchrun.BatchedBackwardRun`) merge wide
+        frontiers into batched kernel calls, phase 2 run its anchors in
+        lockstep chunks and the §5 fast paths run as array pipelines.
+        Off is the reference the tests compare against: the same BFS
+        with every entry expanded on its own, one anchor at a time.
     prepare_cache_size:
         Capacity of the per-engine LRU cache of compiled expressions
         (automaton + ``B``/``B[v]`` masks), keyed on the expression
@@ -584,26 +242,20 @@ class RingRPQEngine:
         prune: bool = True,
         fast_paths: bool = True,
         use_planner: bool = True,
-        traversal: str = "bfs",
         batch: bool = True,
         prepare_cache_size: int | None = 128,
         metrics=None,
         slow_log=None,
     ):
-        if traversal not in ("bfs", "dfs"):
-            raise ValueError("traversal must be 'bfs' or 'dfs'")
         self.index = index
         self.prune = prune
         self.fast_paths = fast_paths
         self.use_planner = use_planner
-        self.traversal = traversal
         self.batch = batch
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self.slow_log = slow_log
         self._lp_data = None
         self._ls_data = None
-        self._lp_batch = None
-        self._ls_batch = None
         self._prepare_cache_size = prepare_cache_size or 0
         self._prepare_cache: OrderedDict[RegexNode, _Prepared] = OrderedDict()
         # The prepare LRU is the only cross-query mutable state on the
@@ -637,27 +289,6 @@ class RingRPQEngine:
         if self._ls_data is None:
             self._ls_data = self.ring.L_s.traversal_data()
         return self._ls_data
-
-    @property
-    def lp_batch(self):
-        """Cached batch-kernel arrays of ``L_p`` (numpy words/cum64)."""
-        if self._lp_batch is None:
-            self._lp_batch = self.ring.L_p.batch_data()
-        return self._lp_batch
-
-    @property
-    def ls_batch(self):
-        """Cached batch-kernel arrays of ``L_s`` (numpy words/cum64)."""
-        if self._ls_batch is None:
-            self._ls_batch = self.ring.L_s.batch_data()
-        return self._ls_batch
-
-    def _new_run(self, prepared: _Prepared, ctx: _EvalContext):
-        """The traversal runner for one (sub)query: batched when the
-        engine and the prepared automaton allow it, scalar otherwise."""
-        if self.batch and self.traversal == "bfs" and prepared.batchable:
-            return BatchedBackwardRun(self, prepared, ctx, self.prune)
-        return _BackwardRun(self, prepared, ctx, self.prune)
 
     # ------------------------------------------------------------------
 
@@ -901,7 +532,7 @@ class RingRPQEngine:
             result.stats.truncated = True
             return
 
-        run = self._new_run(prepared, ctx)
+        run = BatchedBackwardRun(self, prepared, ctx, self.prune)
         obs = ctx.obs
         spans = obs.spans if obs.enabled else None
         span = spans.start("run:anchored") if spans is not None else None
@@ -953,7 +584,7 @@ class RingRPQEngine:
                 prepared = self._prepare(rpq.expr.reverse(), ctx)
                 anchor, target = subject, obj
 
-        run = self._new_run(prepared, ctx)
+        run = BatchedBackwardRun(self, prepared, ctx, self.prune)
         obs = ctx.obs
         spans = obs.spans if obs.enabled else None
         span = spans.start("run:boolean") if spans is not None else None
@@ -1015,7 +646,7 @@ class RingRPQEngine:
 
         # Phase 1: one traversal from the full L_p range binds one side.
         first_prepared = self._prepare(first_expr, ctx)
-        run = self._new_run(first_prepared, ctx)
+        run = BatchedBackwardRun(self, first_prepared, ctx, self.prune)
         span = spans.start("phase1:bind") if spans is not None else None
         bindings = run.run(
             self.ring.full_range(), start_node=None, max_reported=limit
@@ -1030,63 +661,39 @@ class RingRPQEngine:
         span = spans.start("phase2:anchors") if spans is not None else None
         if span is not None:
             span.set(n_anchors=len(order))
-        batched = (
-            self.batch
-            and self.traversal == "bfs"
-            and second_prepared.batchable
-        )
+        # Anchored subqueries are independent (disjoint visited tables),
+        # so chunks of them traverse in lockstep sharing each BFS wave's
+        # kernel calls; provenance stays per-anchor inside the runner.
+        # The result cap is re-snapshotted per chunk — same guarantee
+        # (stop once ``limit`` pairs exist), coarser check.  The
+        # ``batch=False`` reference takes one anchor at a time.
+        width = _ANCHOR_BATCH if self.batch else 1
         try:
-            if batched:
-                # Anchored subqueries are independent (disjoint visited
-                # tables), so chunks of them traverse in lockstep sharing
-                # each BFS wave's kernel calls; provenance stays per-anchor
-                # inside the runner.  The result cap is re-snapshotted per
-                # chunk instead of per anchor — same guarantee (stop once
-                # ``limit`` pairs exist), coarser check.
-                for lo in range(0, len(order), _ANCHOR_BATCH):
-                    chunk = order[lo:lo + _ANCHOR_BATCH]
-                    for _ in chunk:
-                        budget.tick()
-                    remaining = (
-                        None if limit is None else limit - len(result.pairs)
-                    )
-                    if remaining is not None and remaining <= 0:
-                        result.stats.truncated = True
-                        return
-                    sub_run = self._new_run(second_prepared, ctx)
-                    result.stats.subqueries += len(chunk)
-                    partner_sets = sub_run.run_many(
-                        chunk,
-                        self.ring.object_ranges_many(chunk, obs=obs),
-                        max_reported=remaining,
-                    )
-                    for node_id, partners in zip(chunk, partner_sets):
-                        if partners:
-                            _add_partner_pairs(
-                                result.pairs, dictionary.node_labels,
-                                node_id, partners, side,
-                            )
-                return
-
-            for node_id in order:
-                budget.tick()
+            for lo in range(0, len(order), width):
+                chunk = order[lo:lo + width]
+                for _ in chunk:
+                    budget.tick()
                 remaining = (
                     None if limit is None else limit - len(result.pairs)
                 )
                 if remaining is not None and remaining <= 0:
                     result.stats.truncated = True
                     return
-                sub_run = self._new_run(second_prepared, ctx)
-                result.stats.subqueries += 1
-                partners = sub_run.run(
-                    self.ring.object_range(node_id),
-                    start_node=node_id,
+                sub_run = BatchedBackwardRun(
+                    self, second_prepared, ctx, self.prune
+                )
+                result.stats.subqueries += len(chunk)
+                partner_sets = sub_run.run_many(
+                    chunk,
+                    self.ring.object_ranges_many(chunk, obs=obs),
                     max_reported=remaining,
                 )
-                _add_partner_pairs(
-                    result.pairs, dictionary.node_labels,
-                    node_id, partners, side,
-                )
+                for node_id, partners in zip(chunk, partner_sets):
+                    if partners:
+                        _add_partner_pairs(
+                            result.pairs, dictionary.node_labels,
+                            node_id, partners, side,
+                        )
         finally:
             if span is not None:
                 spans.end(span)

@@ -31,7 +31,8 @@ from repro._util.bits import iter_set_bits
 from repro.automata.glushkov import resolve_atom_to_predicates
 from repro.automata.parser import parse_regex
 from repro.automata.syntax import RegexNode
-from repro.core.engine import _BackwardRun, _Budget, _EvalContext, _Prepared
+from repro.core.batchrun import BatchedBackwardRun
+from repro.core.engine import _Budget, _EvalContext, _Prepared
 from repro.core.result import QueryStats
 from repro.obs.metrics import NULL_METRICS
 
@@ -119,7 +120,7 @@ class RPQRelation:
         cached = self._subject_known.get(subject)
         if cached is not None:
             return cached
-        run = _BackwardRun(
+        run = BatchedBackwardRun(
             self.index.engine, self._prepared_reverse,
             _EvalContext(_Budget(None), self.stats, NULL_METRICS),
             prune=True,
@@ -138,7 +139,7 @@ class RPQRelation:
         cached = self._objects_cache.get(subject)
         if cached is not None:
             return cached
-        run = _BackwardRun(
+        run = BatchedBackwardRun(
             self.index.engine, self._prepared_reverse,
             _EvalContext(_Budget(None), self.stats, NULL_METRICS),
             prune=True,

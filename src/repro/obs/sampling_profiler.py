@@ -36,10 +36,8 @@ import threading
 PHASE_BY_FUNCTION = {
     # §4.1 predicates-from-objects (L_p descents)
     "_lp_wave": "predicates_from_objects",
-    "_expand": "predicates_from_objects",
     "_expand_entry_scalar": "predicates_from_objects",
     # §4.2 subjects-from-predicates (L_s descents / backward steps)
-    "_collect_subjects": "subjects_from_predicates",
     "_collect_round": "subjects_from_predicates",
     "_collect_scalar": "subjects_from_predicates",
     "backward_step": "subjects_from_predicates",

@@ -26,8 +26,10 @@ Design constraints:
   ``BoundaryArray._py``, ...) are decode caches of the numpy payload and
   are excluded from the audit, matching the long-standing convention in
   ``size_in_bits()`` docstrings.  Aliased buffers (a view-attached
-  ``BitVector`` whose ``_words``/``_cum64`` share one snapshot buffer)
-  are counted once.
+  ``BitVector`` whose ``_words`` is a slice of the snapshot's
+  sentinel-extended buffer) are counted once.  No query, fingerprint or
+  snapshot export stores anything on the index, so an audit reads the
+  same cold and warm.
 """
 
 from __future__ import annotations

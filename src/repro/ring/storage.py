@@ -71,7 +71,6 @@ def _load_matrix(prefix: str, meta: dict, archive) -> WaveletMatrix:
     matrix._height = int(meta["height"])
     matrix._levels = levels
     matrix._zeros = [int(z) for z in meta["zeros"]]
-    matrix._batch_cache = None
     counts = np.zeros(sigma, dtype=np.int64)
     if n:
         # Recover symbol counts by replaying the bottom-level layout:

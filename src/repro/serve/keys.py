@@ -143,8 +143,11 @@ def index_fingerprint(index) -> str:
         return cached
     ring = index.ring
     crc = 0
-    for words, _, n_bits in ring.L_p.batch_data()[0]:
+    for words, _, n_bits in ring.L_p._held_levels():
         crc = zlib.crc32(words.tobytes(), crc)
+        # The zero sentinel word of the packed export, which this hash
+        # was first taken over: cache keys outlive a code version.
+        crc = zlib.crc32(bytes(8), crc)
         crc = zlib.crc32(n_bits.to_bytes(8, "little"), crc)
     dictionary = index.dictionary
     for n in (len(ring), dictionary.num_nodes, dictionary.num_predicates):

@@ -44,10 +44,7 @@ class BitVector:
     ``rank1(i)`` counts ones strictly before position ``i``.
     """
 
-    __slots__ = (
-        "_n", "_words", "_cum", "_words_py", "_cum_py", "_cum64",
-        "_words_ext",
-    )
+    __slots__ = ("_n", "_words", "_cum", "_words_py", "_cum_py", "_words_ext")
 
     def __init__(self, bits: Iterable[int] | np.ndarray):
         if isinstance(bits, np.ndarray):
@@ -70,9 +67,8 @@ class BitVector:
         # so space accounting keeps using the numpy buffers.
         self._words_py: list[int] = self._words.tolist()
         self._cum_py: list[int] = cum.tolist()
-        # int64 directory for the vectorized rank kernel, built lazily:
-        # gathered counts then need no upcast inside rank1_many.
-        self._cum64: np.ndarray | None = None
+        # Only a from_packed view has one: the sentinel-extended buffer
+        # it was handed, of which ``_words`` is a slice.
         self._words_ext: np.ndarray | None = None
 
     # ------------------------------------------------------------------
@@ -87,9 +83,9 @@ class BitVector:
         This is the *view* construction path used by the shared-memory
         snapshot plane (:mod:`repro.ring.snapshot`): ``words_ext`` is
         the ``uint64`` payload **plus one zero sentinel word** and
-        ``cum64`` the ``int64`` rank directory — exactly the
-        :meth:`batch_data` shapes, so the vectorized kernels run
-        directly on the caller's buffers (typically views over one
+        ``cum64`` the ``int64`` rank directory — exactly what
+        :meth:`batch_data` exports — and every kernel runs directly on
+        the caller's buffers (typically views over one
         ``multiprocessing.shared_memory`` segment or an ``mmap``-ed
         file).  The Python-int mirrors that back the scalar hot paths
         are materialised lazily on first scalar access, so a worker
@@ -108,7 +104,6 @@ class BitVector:
         self._n = int(n)
         self._words = words_ext[:-1]
         self._cum = cum64
-        self._cum64 = cum64
         self._words_ext = words_ext
         # _words_py / _cum_py deliberately left unset: __getattr__
         # materialises them on first scalar-path access.
@@ -197,30 +192,33 @@ class BitVector:
         return count
 
     def batch_data(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """``(words_ext, cum64, n)`` for the vectorized rank kernel.
+        """The packed export ``(words_ext, cum64, n)`` that
+        :meth:`from_packed` accepts: the payload plus one zero sentinel
+        word, and the rank directory as ``int64``.
 
-        ``cum64`` is the rank directory widened to ``int64`` (cached on
-        first use) so :func:`repro._util.bits.rank1_many_words` gathers
-        counts that need no further upcast; ``words_ext`` is the
-        payload plus one zero sentinel word (``len == len(cum64)``) so
-        the kernel's word gather needs no boundary clamp.
+        A view hands back the buffers it wraps; a built vector makes
+        the two arrays for the caller and keeps neither, so exporting
+        (a snapshot flatten) leaves its audited size as it was.
         """
-        if self._cum64 is None:
-            self._cum64 = self._cum.astype(np.int64)
-            self._words_ext = np.concatenate(
-                (self._words, np.zeros(1, dtype=np.uint64))
-            )
-        return self._words_ext, self._cum64, self._n
+        if self._words_ext is not None:
+            return self._words_ext, self._cum, self._n
+        return (
+            np.concatenate((self._words, np.zeros(1, dtype=np.uint64))),
+            self._cum.astype(np.int64),
+            self._n,
+        )
 
     def rank1_many(self, positions: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`rank1` over an ``int64`` position array.
 
         Positions are clamped into ``[0, n]`` like the scalar path.
-        One gather + mask + popcount pass; the per-position Python cost
-        of the scalar loop is what the batched traversal kernels avoid.
+        One gather + mask + popcount pass over the held arrays (a view
+        gives the kernel its sentinel-extended buffer, which spares the
+        boundary clamp); the per-position Python cost of the scalar
+        loop is what the batched traversal kernels avoid.
         """
-        words, cum64, n = self.batch_data()
-        return rank1_many_words(words, cum64, n, positions)
+        words = self._words if self._words_ext is None else self._words_ext
+        return rank1_many_words(words, self._cum, self._n, positions)
 
     def rank_pair_many(self, bs: np.ndarray, es: np.ndarray) -> tuple[
             np.ndarray, np.ndarray]:
@@ -233,10 +231,7 @@ class BitVector:
         """
         bs = np.asarray(bs, dtype=np.int64)
         es = np.asarray(es, dtype=np.int64)
-        words, cum64, n = self.batch_data()
-        both = rank1_many_words(
-            words, cum64, n, np.concatenate((bs, es))
-        )
+        both = self.rank1_many(np.concatenate((bs, es)))
         return both[: len(bs)], both[len(bs):]
 
     def rank0(self, i: int) -> int:
@@ -304,50 +299,26 @@ class BitVector:
         """Space-audit node: payload words and rank directory, separately.
 
         Counts each numpy buffer exactly once.  A view-constructed
-        vector (:meth:`from_packed`) aliases ``_words``/``_cum`` onto
-        the caller's ``words_ext``/``cum64`` buffers, so the sentinel
-        word is attributed to ``words`` via ``words_ext`` and nothing is
-        double counted; a built vector that has materialised its batch
-        mirrors reports them as extra ``batch_*`` leaves.  The
-        Python-int mirrors are decode caches of the same information
-        and are excluded by the library-wide convention.
+        vector (:meth:`from_packed`) aliases ``_words`` onto the
+        caller's ``words_ext`` buffer, so the sentinel word is
+        attributed to ``words`` via ``words_ext`` and nothing is double
+        counted.  The Python-int mirrors are decode caches of the same
+        information and are excluded by the library-wide convention.
         """
         from repro.obs.space import SpaceNode
 
-        aliased = self._words_ext is not None and np.shares_memory(
-            self._words_ext, self._words
-        )
-        if aliased:
-            # View path: one shared buffer per role, sentinel included.
-            children = [
-                SpaceNode("words", self._words_ext.nbytes, kind="buffer",
-                          detail={"dtype": "uint64", "sentinel_words": 1}),
-                SpaceNode("rank_directory", self._cum.nbytes, kind="buffer",
-                          detail={"dtype": str(self._cum.dtype)}),
-            ]
-        else:
-            children = [
-                SpaceNode("words", self._words.nbytes, kind="buffer",
-                          detail={"dtype": "uint64"}),
-                SpaceNode("rank_directory", self._cum.nbytes, kind="buffer",
-                          detail={"dtype": str(self._cum.dtype)}),
-            ]
-            if self._words_ext is not None:
-                children.append(
-                    SpaceNode("batch_words", self._words_ext.nbytes,
-                              kind="buffer",
-                              detail={"dtype": "uint64",
-                                      "note": "lazy batch-kernel payload copy"})
-                )
-            if self._cum64 is not None and self._cum64 is not self._cum:
-                children.append(
-                    SpaceNode("batch_rank_directory", self._cum64.nbytes,
-                              kind="buffer",
-                              detail={"dtype": "int64",
-                                      "note": "lazy int64-widened directory"})
-                )
+        view = self._words_ext is not None
+        words = self._words_ext if view else self._words
+        detail = {"dtype": "uint64"}
+        if view:
+            detail["sentinel_words"] = 1
+        children = [
+            SpaceNode("words", words.nbytes, kind="buffer", detail=detail),
+            SpaceNode("rank_directory", self._cum.nbytes, kind="buffer",
+                      detail={"dtype": str(self._cum.dtype)}),
+        ]
         return SpaceNode(name, children=children, kind="bitvector",
-                         detail={"n": self._n, "view": aliased})
+                         detail={"n": self._n, "view": view})
 
     # ------------------------------------------------------------------
     # Diagnostics

@@ -106,7 +106,7 @@ class WaveletMatrix:
     """
 
     __slots__ = ("_n", "_sigma", "_height", "_levels", "_zeros",
-                 "_counts", "_bottom_start", "_class_cum", "_batch_cache")
+                 "_counts", "_bottom_start", "_class_cum")
 
     def __init__(self, values: Iterable[int] | np.ndarray, sigma: int | None = None):
         seq = np.asarray(
@@ -163,7 +163,6 @@ class WaveletMatrix:
             bottom_start[c] = acc
             acc += int(counts[c])
         self._bottom_start = bottom_start
-        self._batch_cache: tuple | None = None
 
     @classmethod
     def from_parts(
@@ -199,7 +198,6 @@ class WaveletMatrix:
         self._counts = counts
         self._class_cum = class_cum
         self._bottom_start = bottom_start
-        self._batch_cache = None
         return self
 
     # ------------------------------------------------------------------
@@ -320,14 +318,11 @@ class WaveletMatrix:
         """``(words, cum, n_bits)`` per level, straight from the arrays
         the level bit-vectors already hold.
 
-        The decode kernels and the query-path kernels of this class
-        (:meth:`rank_many`, :meth:`descend_batch`,
-        :meth:`range_intersect`) read these instead of
-        :meth:`batch_data`: on a built matrix that call widens every
-        rank directory to ``int64`` and copies every payload (≈ +23% on
-        the audited ring), and neither a decode nor a query may leave
-        anything behind on the index.  :func:`rank1_many_words` takes
-        the un-widened, sentinel-free form as it is.
+        Every array kernel — the decode and query-path kernels of this
+        class and the traversal runner's merged waves — reads these:
+        neither a decode nor a query may leave anything behind on the
+        index, and :func:`rank1_many_words` takes the un-widened,
+        sentinel-free form as it is.
         """
         return [(bv._words, bv._cum, len(bv)) for bv in self._levels]
 
@@ -431,25 +426,23 @@ class WaveletMatrix:
         )
 
     def batch_data(self) -> tuple:
-        """Numpy counterpart of :meth:`traversal_data`, cached.
+        """Numpy counterpart of :meth:`traversal_data`, for export.
 
         Returns ``(levels, zeros, height, sigma, class_cum,
-        bottom_start)`` where ``levels[l]`` is ``(words, cum64,
-        n_bits)`` with ``words`` as ``uint64`` and ``cum64`` the
-        ``int64`` rank directory — the inputs
-        :func:`repro._util.bits.rank1_many_words` wants.  Built once
-        and cached; treat everything as read-only.
+        bottom_start)`` where ``levels[l]`` is the level's
+        :meth:`BitVector.batch_data` triple ``(words_ext, cum64,
+        n_bits)``.  Nothing is cached: on a built matrix every call
+        makes the level arrays anew, so kernels read
+        :meth:`_held_levels` instead.
         """
-        if self._batch_cache is None:
-            self._batch_cache = (
-                [bv.batch_data() for bv in self._levels],
-                list(self._zeros),
-                self._height,
-                self._sigma,
-                self._class_cum,
-                self._bottom_start,
-            )
-        return self._batch_cache
+        return (
+            [bv.batch_data() for bv in self._levels],
+            list(self._zeros),
+            self._height,
+            self._sigma,
+            self._class_cum,
+            self._bottom_start,
+        )
 
     def descend_batch(self, ranges, prune_fn=None) -> tuple[
             np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

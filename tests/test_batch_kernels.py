@@ -41,12 +41,20 @@ from hypothesis import strategies as st
 from repro._util.bits import rank1_many_words
 from repro.core import batchrun
 from repro.core.engine import RingRPQEngine
+from repro.graph.generators import random_graph
 from repro.ring.builder import RingIndex
 from repro.ring.dictionary import Dictionary
 from repro.ring.ring import Ring
-from repro.ring.snapshot import _write_payload, attach_index, snapshot_index
+from repro.ring.snapshot import (
+    SharedIndexHandle,
+    _write_payload,
+    attach_index,
+    snapshot_index,
+)
+from repro.serve.keys import index_fingerprint
 from repro.succinct.bitvector import BitVector
 from repro.succinct.wavelet_matrix import WaveletMatrix
+from repro.testing import brute_force_rpq
 
 # Counters that must match between the scalar and the batched engine on
 # untruncated runs (the full PR-1 bucket set plus the derived totals).
@@ -68,6 +76,12 @@ QUERIES = [
     "(n3, p0/p1*, ?y)",
     "(n1, (p0|p1)+, n2)",
 ]
+
+#: 72 NFA states — two positions per optional step, one for ``p2``, the
+#: initial state: one bit too many for the ``int64`` mask columns of a
+#: merged L_p wave, so every entry must expand on Python-int masks.
+WIDE_EXPR = "/".join(["(p0|p1)?"] * 35 + ["p2"])
+WIDE_QUERIES = [f"(?x, {WIDE_EXPR}, ?y)", f"(?x, {WIDE_EXPR}, n89)"]
 
 
 # ----------------------------------------------------------------------
@@ -421,15 +435,55 @@ def _assert_engines_agree(index, queries):
 
 
 def test_engine_differential_default_thresholds(kg_index):
-    _assert_engines_agree(kg_index, QUERIES)
+    _assert_engines_agree(kg_index, QUERIES + WIDE_QUERIES)
 
 
 def test_engine_differential_forced_batch_paths(kg_index, monkeypatch):
     """Same differential with every merged code path forced on."""
     monkeypatch.setattr(batchrun, "_LP_WAVE_MIN", 1)
     monkeypatch.setattr(batchrun, "_LS_ROUND_MIN", 2)
-    monkeypatch.setattr(batchrun, "_VEC_MIN", 1)
-    _assert_engines_agree(kg_index, QUERIES)
+    _assert_engines_agree(kg_index, QUERIES + WIDE_QUERIES)
+
+
+def _refuse(name):
+    def called(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+    return called
+
+
+def test_wide_automaton_never_enters_a_merged_wave(kg_index, monkeypatch):
+    """More than 63 states: the default engine answers on the
+    entry-by-entry path at any wave width (33 anchors share phase 2's
+    waves here), and agrees with the product-graph oracle.  What this
+    guards is ``np.fromiter(masks, np.int64)`` in ``_lp_wave``
+    overflowing on a 72-bit state set."""
+    monkeypatch.setattr(batchrun, "_LP_WAVE_MIN", 1)
+    monkeypatch.setattr(
+        batchrun.BatchedBackwardRun, "_lp_wave", _refuse("_lp_wave"))
+    result = kg_index.evaluate(WIDE_QUERIES[0])
+    assert result.stats.nfa_states == 72 and result.stats.subqueries > 8
+    assert result.pairs and kg_index.evaluate(WIDE_QUERIES[1]).pairs
+
+    graph = random_graph(12, 40, 3, seed=1)
+    index = RingIndex.from_graph(graph)
+    for query in (WIDE_QUERIES[0], f"(?x, {WIDE_EXPR}, n5)"):
+        want = brute_force_rpq(graph, query)
+        assert want and index.evaluate(query).pairs == want
+
+
+def test_reference_engine_never_merges(kg_index, monkeypatch):
+    """``batch=False`` is the reference because it cannot reach the
+    merged kernels, however low the widths are set."""
+    monkeypatch.setattr(batchrun, "_LP_WAVE_MIN", 1)
+    monkeypatch.setattr(batchrun, "_LS_ROUND_MIN", 2)
+    for name in ("_lp_wave", "_collect_round"):
+        monkeypatch.setattr(batchrun.BatchedBackwardRun, name, _refuse(name))
+    reference = RingRPQEngine(kg_index, batch=False)
+    for query in QUERIES:
+        reference.evaluate(query, timeout=60.0)
+    assert reference.evaluate(QUERIES[2]).pairs
+    with pytest.raises(AssertionError, match="_lp_wave was called"):
+        RingRPQEngine(kg_index, batch=True).evaluate(QUERIES[2])
 
 
 def test_engine_differential_santiago(santiago_index):
@@ -454,18 +508,6 @@ def test_engine_differential_no_prune(kg_index):
             assert getattr(rs.stats, name) == getattr(rb.stats, name), (
                 query, name
             )
-
-
-def test_dfs_traversal_keeps_scalar_runner(kg_index):
-    """DFS order is outside the batched runner's contract; the engine
-    must transparently keep the scalar runner and stay correct."""
-    dfs = RingRPQEngine(kg_index, traversal="dfs", batch=True)
-    bfs = RingRPQEngine(kg_index, traversal="bfs", batch=True)
-    for query in QUERIES[:4]:
-        assert (
-            dfs.evaluate(query, timeout=60.0).pairs
-            == bfs.evaluate(query, timeout=60.0).pairs
-        )
 
 
 # ----------------------------------------------------------------------
@@ -693,8 +735,11 @@ def test_match_pattern_streams_a_predicate_listing(kg_index, monkeypatch):
 
 
 def test_fast_paths_leave_the_ring_untouched(kg_graph):
-    """The pipelines read the arrays the bit-vectors already hold: no
-    ``int64``/sentinel mirror may appear on ``L_s`` or ``L_p``."""
+    """Warm = cold.  Every kernel reads the arrays the bit-vectors
+    already hold, so a whole session — the §5 pipelines, the general
+    runner with and without a cap, a pattern match, the cache-key
+    fingerprint, a snapshot — leaves the audited ring as it found it,
+    built or attached."""
     for index in (RingIndex.from_graph(kg_graph),
                   _attached(RingIndex.from_graph(kg_graph))):
         before = index.ring.measure().nbytes
@@ -702,8 +747,32 @@ def test_fast_paths_leave_the_ring_untouched(kg_graph):
             query = f"(?x, {shape.format(a='p6', b='p7')}, ?y)"
             assert index.evaluate(query).pairs
             assert index.evaluate(query, limit=3).stats.truncated
+        for query in QUERIES:
+            index.evaluate(query)
+            index.evaluate(query, limit=2)
         assert list(index.match_pattern(None, "p0", None))
+        index_fingerprint(index)
+        SharedIndexHandle.create(index).close()
         assert index.ring.measure().nbytes == before
+
+
+def test_fingerprint_is_the_crc_of_the_packed_export(kg_graph):
+    """Cache keys outlive a code version: the fingerprint stays the
+    CRC-32 it was first defined as — over the packed export of every
+    ``L_p`` level (its words, sentinel included), the level length, and
+    the structural counts — and is the same built or attached."""
+    import zlib
+
+    index = RingIndex.from_graph(kg_graph)
+    ring, dictionary = index.ring, index.dictionary
+    crc = 0
+    for words_ext, _, n_bits in ring.L_p.batch_data()[0]:
+        crc = zlib.crc32(words_ext.tobytes(), crc)
+        crc = zlib.crc32(n_bits.to_bytes(8, "little"), crc)
+    for n in (len(ring), dictionary.num_nodes, dictionary.num_predicates):
+        crc = zlib.crc32(n.to_bytes(8, "little"), crc)
+    assert index_fingerprint(index) == f"{len(ring)}-{crc:08x}"
+    assert index_fingerprint(_attached(index)) == index_fingerprint(index)
 
 
 # ----------------------------------------------------------------------

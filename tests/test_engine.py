@@ -144,17 +144,6 @@ class TestFlags:
         assert planned.evaluate(query).pairs == \
             unplanned.evaluate(query).pairs
 
-    @pytest.mark.parametrize("query", QUERIES + ["(a, p+, c)",
-                                                 "(a, p*/q, d)"])
-    def test_dfs_matches_bfs(self, idx, query):
-        bfs = RingRPQEngine(idx, traversal="bfs")
-        dfs = RingRPQEngine(idx, traversal="dfs")
-        assert bfs.evaluate(query).pairs == dfs.evaluate(query).pairs
-
-    def test_bad_traversal_rejected(self, idx):
-        with pytest.raises(ValueError):
-            RingRPQEngine(idx, traversal="zigzag")
-
     def test_boolean_planner_side_choice(self, idx):
         # fixed-fixed queries must agree regardless of anchor side
         for query in ["(a, p+, c)", "(a, q/p, c)", "(d, p*, b)"]:

@@ -15,7 +15,8 @@ import pytest
 from repro.automata.bitparallel import ForwardSimulator, ReverseSimulator
 from repro.automata.glushkov import build_glushkov
 from repro.automata.parser import parse_regex
-from repro.core.engine import _BackwardRun, _Budget, _EvalContext, _Prepared
+from repro.core.batchrun import BatchedBackwardRun
+from repro.core.engine import _Budget, _EvalContext, _Prepared
 from repro.core.result import QueryStats
 from repro.obs.metrics import NULL_METRICS
 
@@ -176,7 +177,7 @@ class TestFig6Traversal:
         expr = parse_regex("^bus/(l5*)/l5")
         prepared = _Prepared(expr, index)
         stats = QueryStats()
-        run = _BackwardRun(
+        run = BatchedBackwardRun(
             index.engine, prepared,
             _EvalContext(_Budget(None), stats, NULL_METRICS),
             prune=True,
@@ -199,7 +200,7 @@ class TestFig6Traversal:
         mask_str = automaton.state_mask_str
         visited = {
             d.node_label(node): mask_str(mask)
-            for node, mask in run.visited.items()
+            for node, mask in run.visited[0].items()  # the one anchor
         }
         assert visited == {
             "Baq": "0111",  # start 0001, revisited with 0110

@@ -27,6 +27,7 @@ from repro.ring.snapshot import (
     SharedIndexHandle,
     _lay_out,
     _write_file,
+    _write_payload,
     attach_index,
     attach_token,
     load_snapshot,
@@ -73,11 +74,20 @@ class TestManifest:
         )
 
     def test_buffers_are_views_not_copies(self, kg_index):
-        """Flattening reuses the index's own arrays (the single copy
-        happens at segment/file write time, not here)."""
+        """Flattening reuses the arrays the index holds (the single
+        copy happens at segment/file write time, not here): the symbol
+        tables of a built ring and, on an attached one, the packed
+        level buffers too.  A built level holds no packed form — its
+        export is made for the flatten and kept by nobody."""
         manifest, buffers = snapshot_index(kg_index)
-        words_ext, _, _ = kg_index.ring.L_p._levels[0].batch_data()
-        assert buffers["lp.level0.words"] is words_ext
+        assert buffers["lp.counts"] is kg_index.ring.L_p._counts
+        payload = bytearray(manifest["total_bytes"])
+        _write_payload(manifest, buffers, payload)
+        attached = attach_index(manifest, payload)
+        _, again = snapshot_index(attached)
+        level = attached.ring.L_p._levels[0]
+        assert again["lp.level0.words"] is level._words_ext
+        assert again["lp.level0.cum64"] is level._cum
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.snap"
