@@ -37,33 +37,28 @@ product-bfs         100 ns       idealised in-memory adjacency list
 
 The constants are *inputs to a simulation*, documented and adjustable —
 EXPERIMENTS.md reports modeled times clearly labeled as such, next to
-(never instead of) the honest wall-clock measurements.
+(never instead of) the honest wall-clock measurements.  The ring's
+per-op cost and the 60 s cap (``MODELED_TIMEOUT``) are the ones
+EXPLAIN's pre-execution estimate uses and are defined next to it, in
+:mod:`repro.core.planner`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from repro.automata.glushkov import (
-    build_glushkov,
-    resolve_atom_to_predicates,
-)
 from repro.bench.runner import BenchmarkResults, QueryRecord
 from repro.bench.stats import Summary, summarize
-from repro.core.query import as_query
+from repro.core.planner import MODELED_RING_OP_SECONDS, MODELED_TIMEOUT
 
 #: Modeled per-storage-operation cost, in seconds.
 DEFAULT_COSTS = {
-    "ring": 60e-9,
+    "ring": MODELED_RING_OP_SECONDS,
     "alp-jena": 1500e-9,
     "alp-blazegraph": 1200e-9,
     "seminaive-virtuoso": 400e-9,
     "product-bfs": 100e-9,
 }
-
-#: The paper's timeout; modeled times are censored here.
-MODELED_TIMEOUT = 60.0
 
 
 @dataclass(frozen=True)
@@ -130,307 +125,3 @@ class CostModel:
             if best is not None:
                 wins[pattern] = best
         return wins
-
-
-# ----------------------------------------------------------------------
-# Pre-execution work estimation (EXPLAIN)
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PlanEstimate:
-    """Predicted traversal work for one query, before running it.
-
-    The estimates are coarse upper bounds derived from index statistics
-    alone (predicate cardinalities off ``C_p``, alphabet sizes, wavelet
-    heights) — the same inputs the §5 planner reads.  ``repro explain
-    --analyze`` puts them next to the actual :class:`QueryStats`
-    counters; large misestimation ratios are exactly where the
-    ``B[v]``/``D[v]`` pruning beats (or loses to) the selectivity-only
-    view of the query.
-    """
-
-    query: str
-    shape: str
-    #: Graph edges carrying any predicate of the automaton's B table.
-    edges: int
-    #: Bound on distinct product-graph node visits per traversal.
-    touched_nodes: int
-    #: Estimated Eq. 4–5 backward-search steps.
-    backward_steps: int
-    #: Estimated L_p wavelet nodes visited (§4.1 descents).
-    lp_nodes: int
-    #: Estimated L_s wavelet nodes visited (§4.2 descents).
-    ls_nodes: int
-    #: Estimated rank operations (2 per visited internal node).
-    storage_ops: int
-    #: ``storage_ops`` priced at the ring's modeled per-op cost.
-    modeled_seconds: float
-
-    def counts(self) -> dict[str, int]:
-        """The estimated counters, keyed like ``QueryStats`` fields."""
-        return {
-            "lp_nodes": self.lp_nodes,
-            "ls_nodes": self.ls_nodes,
-            "backward_steps": self.backward_steps,
-            "storage_ops": self.storage_ops,
-        }
-
-
-def estimate_rpq_cost(
-    index, query, cost_per_op: float = DEFAULT_COSTS["ring"],
-) -> PlanEstimate:
-    """Estimate the traversal work of ``query`` against ``index``.
-
-    The model, phase by phase:
-
-    * every edge whose predicate appears in the automaton's ``B`` table
-      can cross the traversal at most a constant number of times, so
-      ``edges`` bounds the backward steps;
-    * each product-graph expansion runs one L_p descent whose frontier
-      can touch at most ``min(2^level, |B|)`` nodes per level (the
-      descent forks only toward predicates in the ``B`` table);
-      expansions are bounded by the nodes touched,
-      ``min(|V|, edges)``;
-    * each backward step runs one L_s descent; the ``D[v]`` marks make
-      total L_s work output-sensitive — each *distinct* subject is
-      discovered along one root-to-leaf path, giving
-      ``touched × (height + 1)`` visited nodes;
-    * variable-to-variable queries pay everything twice (the full-range
-      binding pass, then the anchored runs over the reverse automaton).
-    """
-    rpq = as_query(query)
-    shape = rpq.shape()
-    automaton = build_glushkov(rpq.expr)
-    dictionary = index.dictionary
-    ring = index.ring
-    b_masks = automaton.b_masks(
-        lambda atom: resolve_atom_to_predicates(atom, dictionary)
-    )
-    pids = sorted(b_masks)
-    edges = sum(ring.predicate_count(pid) for pid in pids)
-    touched = min(ring.num_nodes, edges)
-
-    n_preds = max(1, len(pids))
-    lp_path = sum(
-        min(1 << level, n_preds) for level in range(ring.L_p.height + 1)
-    )
-    descents = max(1, touched)
-    lp_nodes = descents * lp_path
-    ls_nodes = touched * (ring.L_s.height + 1)
-    backward_steps = max(1, edges)
-
-    if shape == "vv":
-        lp_nodes *= 2
-        ls_nodes *= 2
-        backward_steps *= 2
-
-    storage_ops = 2 * (lp_nodes + ls_nodes)
-    return PlanEstimate(
-        query=str(rpq),
-        shape=shape,
-        edges=edges,
-        touched_nodes=touched,
-        backward_steps=backward_steps,
-        lp_nodes=lp_nodes,
-        ls_nodes=ls_nodes,
-        storage_ops=storage_ops,
-        modeled_seconds=min(MODELED_TIMEOUT, storage_ops * cost_per_op),
-    )
-
-
-# ----------------------------------------------------------------------
-# Backend routing (ring vs. sparse-matrix)
-# ----------------------------------------------------------------------
-
-#: Substrate-calibrated constants predicting *actual* wall-clock on
-#: this Python stack (a different currency from ``modeled_seconds``,
-#: which prices work on the paper's C++ substrate).  Calibrated
-#: against the pinned trajectory workload; see docs/backends.md.
-ROUTER_RING_OP_SECONDS = 7e-8
-ROUTER_MATRIX_SETUP_SECONDS = 3e-4
-ROUTER_MATRIX_MATMUL_SECONDS = 1.2e-4
-ROUTER_MATRIX_NNZ_SECONDS = 6e-9
-ROUTER_MATRIX_EMIT_SECONDS = 2e-9
-
-#: Shape corrections for the ring prediction, fitted on the pinned
-#: trajectory workload (3 000 nodes / 18 000 edges / 40 predicates):
-#: ``storage_ops`` *underprices* variable-to-variable runs (the ring
-#: restarts its product traversal per source, so constants per op do
-#: not capture the fan-out — measured median 4.4x, p90 20x under) and
-#: *overprices* anchored runs (a single anchored traversal touches a
-#: small reachable cone; measured median 25x over).
-ROUTER_RING_VV_FACTOR = 5.0
-ROUTER_RING_ANCHORED_FACTOR = 0.05
-
-#: An actual latency beyond this multiple of the chosen backend's
-#: predicted seconds counts as a misroute (the model was wrong enough
-#: that the decision cannot be trusted); the floor keeps sub-ms
-#: queries from tripping the ratio on scheduler noise.
-MISROUTE_MARGIN = 8.0
-MISROUTE_FLOOR_SECONDS = 0.05
-
-
-@dataclass(frozen=True)
-class MatrixEstimate:
-    """Predicted matrix-backend work for one query, before running it.
-
-    The matrix engine's cost is dominated by sparse boolean multiplies:
-    per closure round, one multiply per automaton position, each
-    flowing roughly the step matrix's nonzeros plus the frontier's.
-    Rounds are data-dependent (the closure depth of the product
-    graph); the estimate uses ``m + log2 |V|`` — automaton depth plus
-    the expected diameter of a random graph — as the planning bound.
-    """
-
-    query: str
-    shape: str
-    #: Automaton positions (one step matrix each).
-    positions: int
-    #: Graph edges carrying any predicate of the automaton's B table.
-    edges: int
-    #: Bound on distinct nodes entering any frontier.
-    touched_nodes: int
-    #: Estimated closure rounds to fixpoint.
-    rounds: int
-    #: Estimated sparse multiplies (``rounds x positions``).
-    multiplies: int
-    #: Estimated stored nonzeros flowing through all multiplies.
-    flow_nnz: int
-    #: Predicted wall-clock seconds on this substrate.
-    predicted_seconds: float
-
-    def counts(self) -> dict[str, int]:
-        """The estimated counters, keyed like ``QueryStats`` fields."""
-        return {
-            "matmuls": self.multiplies,
-            "product_edges": self.flow_nnz,
-            "storage_ops": self.flow_nnz,
-        }
-
-
-def estimate_matrix_cost(index, query) -> MatrixEstimate:
-    """Estimate the matrix backend's work for ``query``.
-
-    Uses only index statistics (predicate cardinalities, node count)
-    and the Glushkov automaton — the same inputs as
-    :func:`estimate_rpq_cost`, so the router prices both backends from
-    one pre-execution view of the query.
-    """
-    rpq = as_query(query)
-    shape = rpq.shape()
-    automaton = build_glushkov(rpq.expr)
-    dictionary = index.dictionary
-    ring = index.ring
-    b_masks = automaton.b_masks(
-        lambda atom: resolve_atom_to_predicates(atom, dictionary)
-    )
-    edges = sum(ring.predicate_count(pid) for pid in sorted(b_masks))
-    n = ring.num_nodes
-    touched = min(n, edges)
-
-    m = max(1, automaton.m)
-    rounds = m + int(math.log2(n + 1)) + 1
-    multiplies = rounds * m
-
-    # Per multiply the step matrix contributes ~edges/m nonzeros; the
-    # frontier contributes up to ``touched`` entries for anchored runs
-    # and up to ``touched`` entries *per live source row* for
-    # variable-to-variable (the N x N closure) — approximated by one
-    # extra ``touched`` factor spread over the rounds.
-    per_multiply = edges // m + touched
-    flow = multiplies * per_multiply
-    results_bound = touched
-    if shape == "vv":
-        flow = multiplies * (edges // m) + rounds * touched * m
-        flow += min(n * n, touched * touched)
-        results_bound = min(n * n, touched * touched)
-
-    predicted = (
-        ROUTER_MATRIX_SETUP_SECONDS
-        + multiplies * ROUTER_MATRIX_MATMUL_SECONDS
-        + flow * ROUTER_MATRIX_NNZ_SECONDS
-        + results_bound * ROUTER_MATRIX_EMIT_SECONDS
-    )
-    return MatrixEstimate(
-        query=str(rpq),
-        shape=shape,
-        positions=automaton.m,
-        edges=edges,
-        touched_nodes=touched,
-        rounds=rounds,
-        multiplies=multiplies,
-        flow_nnz=flow,
-        predicted_seconds=min(MODELED_TIMEOUT, predicted),
-    )
-
-
-@dataclass(frozen=True)
-class BackendChoice:
-    """One routing decision: both backends priced, cheaper one chosen.
-
-    ``ring_seconds`` / ``matrix_seconds`` are substrate-calibrated
-    wall-clock predictions (this Python stack), *not* the sdsl-priced
-    ``modeled_seconds`` of :class:`PlanEstimate` — the router compares
-    what will actually run, the EXPLAIN comparison tables keep the
-    paper-substrate currency.
-    """
-
-    backend: str
-    ring_seconds: float
-    matrix_seconds: float
-    ring_estimate: PlanEstimate
-    matrix_estimate: MatrixEstimate
-
-    @property
-    def chosen_seconds(self) -> float:
-        """Predicted seconds of the backend that was picked."""
-        return (self.ring_seconds if self.backend == "ring"
-                else self.matrix_seconds)
-
-    def is_misroute(self, actual_seconds: float,
-                    margin: float = MISROUTE_MARGIN,
-                    floor: float = MISROUTE_FLOOR_SECONDS) -> bool:
-        """Whether an observed latency discredits this decision."""
-        return actual_seconds > max(floor, margin * self.chosen_seconds)
-
-    def to_dict(self) -> dict:
-        """JSON-friendly routing summary for EXPLAIN output."""
-        return {
-            "backend": self.backend,
-            "ring_seconds": self.ring_seconds,
-            "matrix_seconds": self.matrix_seconds,
-        }
-
-
-def choose_backend(
-    index,
-    query,
-    ring_op_seconds: float = ROUTER_RING_OP_SECONDS,
-) -> BackendChoice:
-    """Price a query on both backends and pick the cheaper one.
-
-    The ring side reuses :func:`estimate_rpq_cost`'s work counts but
-    prices them at the *Python* substrate cost (a wavelet step here is
-    dict-and-int-ops, not an sdsl rank); the matrix side comes from
-    :func:`estimate_matrix_cost`.  Both are coarse upper bounds built
-    from the same index statistics, so their *ratio* is meaningful
-    even where their absolute values are loose.
-    """
-    ring_est = estimate_rpq_cost(index, query)
-    matrix_est = estimate_matrix_cost(index, query)
-    shape_factor = (
-        ROUTER_RING_VV_FACTOR if matrix_est.shape == "vv"
-        else ROUTER_RING_ANCHORED_FACTOR
-    )
-    ring_seconds = min(MODELED_TIMEOUT, ring_est.storage_ops
-                       * ring_op_seconds * shape_factor)
-    backend = "ring" if ring_seconds <= matrix_est.predicted_seconds \
-        else "matrix"
-    return BackendChoice(
-        backend=backend,
-        ring_seconds=ring_seconds,
-        matrix_seconds=matrix_est.predicted_seconds,
-        ring_estimate=ring_est,
-        matrix_estimate=matrix_est,
-    )

@@ -40,10 +40,10 @@ import time
 from repro.bench.stats import percentile
 
 #: The pinned load profiles — comparable across PRs only at identical
-#: parameters, like TRAJECTORY_PARAMS.  ``overload`` offers arrivals
-#: well above the single-worker service rate at a deliberately small
-#: admission bound, so a non-zero rejection rate is the *expected*
-#: outcome, not a flake.  The cache is disabled: cache hits settle at
+#: parameters.  ``overload`` offers arrivals well above the
+#: single-worker service rate at a deliberately small admission
+#: bound, so a non-zero rejection rate is the *expected* outcome, not
+#: a flake.  The cache is disabled: cache hits settle at
 #: submit without occupying a queue slot, so a cached service can
 #: absorb any offered rate and the overload profile would prove
 #: nothing.
@@ -222,7 +222,7 @@ def http_load_report(
     pool_kinds: tuple = ("threads", "processes"),
     params: "dict | None" = None,
 ) -> dict:
-    """The ``http`` section of ``BENCH_engine.json``.
+    """The open-loop report ``--out`` writes (CI's ``http-bench.json``).
 
     Per pool tier, per pinned profile: a fresh service (pinned small
     worker/admission configuration, cache off) behind a fresh
@@ -232,8 +232,10 @@ def http_load_report(
     acceptance criterion that the fast-reject path is observable from
     outside the process.
     """
-    from repro.bench.runner import _make_pool_service
+    from repro.serve import ProcessQueryService, QueryService
     from repro.serve.http import HTTPQueryServer
+
+    pools = {"threads": QueryService, "processes": ProcessQueryService}
 
     p = dict(LOADGEN_PARAMS)
     if params:
@@ -251,9 +253,11 @@ def http_load_report(
     for kind in pool_kinds:
         tier: dict = {}
         for name, profile in p["profiles"].items():
-            service = _make_pool_service(
-                kind, index, p["workers"], p["max_pending"],
-                p["cache_size"], None, None,
+            service = pools[kind](
+                index,
+                workers=p["workers"],
+                max_pending=p["max_pending"],
+                cache_size=p["cache_size"],
             )
             try:
                 with HTTPQueryServer(service, port=0) as server:

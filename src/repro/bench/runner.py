@@ -4,27 +4,16 @@
 under a shared timeout and result cap, and returns a
 :class:`BenchmarkResults` able to answer all the questions Table 2 and
 Fig. 8 ask: overall and per-shape summaries, per-pattern timing
-distributions, and win counts.  :func:`write_engine_bench_json`
-serialises one engine's view of a run into the ``BENCH_engine.json``
-trajectory file tracked across PRs.
+distributions, and win counts.
 """
 
 from __future__ import annotations
 
-import json
-import time
 from collections import defaultdict
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.bench.patterns import classify_query
-from repro.bench.stats import (
-    FiveNumber,
-    Summary,
-    percentile,
-    percentiles,
-    summarize,
-)
+from repro.bench.stats import FiveNumber, Summary, percentile, summarize
 from repro.core.query import RPQ
 
 
@@ -225,376 +214,6 @@ class BenchmarkResults:
                           if not r.timed_out and not r.truncated}
                 problems.append(f"{query_text}: {detail}")
         return problems
-
-
-#: Counters worth tracking across PRs in the trajectory file.  A
-#: subset of :meth:`QueryStats.operation_counts` — the high-level work
-#: measures, not every phase bucket.
-TRAJECTORY_COUNTERS = (
-    "storage_ops",
-    "wavelet_nodes",
-    "product_nodes",
-    "product_edges",
-    "backward_steps",
-    "rank_ops",
-    "lp_nodes",
-    "lp_pruned",
-    "ls_nodes",
-    "ls_pruned",
-    "object_ranges",
-    "subqueries",
-)
-
-
-def engine_bench_report(
-    results: BenchmarkResults,
-    engine: str,
-    meta: "dict[str, object] | None" = None,
-) -> dict:
-    """One engine's run as a plain JSON-ready dict.
-
-    The report carries per-shape (``c-to-v`` / ``v-to-v``) and
-    per-pattern-class mean/median wall-clock, tail percentiles
-    (p50/p90/p95/p99/max of the clamped timings), and mean operation
-    counters, so successive PRs can be compared number-for-number —
-    including tail regressions a mean would smooth over.
-    """
-
-    def _summary_dict(summary: Summary, times: list[float]) -> dict:
-        return {
-            "count": summary.count,
-            "mean_seconds": summary.average,
-            "median_seconds": summary.median,
-            "timeouts": summary.timeouts,
-            "percentiles": percentiles(times),
-        }
-
-    shapes = {}
-    for shape in ("c-to-v", "v-to-v"):
-        summary = results.summary(engine, shape=shape)
-        if summary.count:
-            shapes[shape] = _summary_dict(
-                summary, results.clamped_times(engine, shape=shape)
-            )
-
-    patterns = {}
-    for pattern in results.patterns():
-        times = results.pattern_times(engine, pattern)
-        if not times:
-            continue
-        selected = results._select(engine, pattern=pattern)
-        summary = summarize(
-            [r.elapsed for r in selected],
-            [r.timed_out for r in selected],
-            results.timeout,
-        )
-        entry = _summary_dict(summary, times)
-        entry["shape"] = selected[0].shape
-        entry["counters"] = {
-            name: results.mean_counter(engine, name, pattern=pattern)
-            for name in TRAJECTORY_COUNTERS
-        }
-        patterns[pattern] = entry
-
-    report = {
-        "schema": "bench-engine/v2",
-        "engine": engine,
-        "overall": _summary_dict(
-            results.summary(engine), results.clamped_times(engine)
-        ),
-        "shapes": shapes,
-        "patterns": patterns,
-    }
-    if meta:
-        report["meta"] = dict(meta)
-    return report
-
-
-def write_engine_bench_json(
-    results: BenchmarkResults,
-    path: "str | Path",
-    engine: str = "ring",
-    meta: "dict[str, object] | None" = None,
-) -> dict:
-    """Write :func:`engine_bench_report` to ``path`` and return it."""
-    report = engine_bench_report(results, engine, meta=meta)
-    Path(path).write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    return report
-
-
-def _make_pool_service(kind: str, index, workers: int, max_pending: int,
-                       cache_size: int, timeout, limit,
-                       metrics=None, flight=None):
-    from repro.serve import ProcessQueryService, QueryService
-
-    if kind == "threads":
-        cls = QueryService
-    elif kind == "processes":
-        cls = ProcessQueryService
-    else:
-        raise ValueError(f"unknown pool kind {kind!r}")
-    return cls(
-        index,
-        workers=workers,
-        max_pending=max_pending,
-        cache_size=cache_size,
-        default_timeout=timeout,
-        default_limit=limit,
-        metrics=metrics,
-        flight=flight,
-    )
-
-
-def service_throughput_report(
-    index,
-    queries: list[RPQ],
-    workers: tuple[int, ...] = (1, 4),
-    rounds: int = 3,
-    timeout: "float | None" = None,
-    limit: "int | None" = 100_000,
-    cache_size: int = 256,
-    pool_kinds: tuple[str, ...] = ("threads", "processes"),
-    pool_workers: tuple[int, ...] = (1, 2, 4),
-    burst_pending: int = 8,
-) -> dict:
-    """Aggregate-QPS scaling of the serving tiers.
-
-    Four measurements over the same query log:
-
-    * ``baseline`` — a bare engine, sequential and uncached, replayed
-      ``rounds`` times; the denominator for every speedup.
-    * ``cached`` — the thread tier at each ``workers`` count with the
-      result cache on, replayed ``rounds`` times.  Repeated rounds are
-      the representative serving workload, and the speedup here is
-      earned by the cache answering repeats plus bookkeeping overlap —
-      under CPython's GIL threads cannot parallelise the index walks
-      themselves; each entry's cache hit rate says so explicitly.
-    * ``pools`` — the honest parallelism axis: ``threads`` vs
-      ``processes`` (:class:`~repro.serve.ProcessQueryService` over one
-      shared-memory snapshot) at each ``pool_workers`` count, cache
-      *disabled*, one uncached pass each.  ``scaling_efficiency`` is
-      ``qps / (single-worker qps × workers)`` within the same kind —
-      the number that shows whether extra workers buy real throughput.
-      Only the process tier can exceed thread-tier numbers on
-      CPU-bound RPQs, and only when the machine has cores to spare.
-    * ``burst`` — an open-loop overload probe: every query submitted
-      at once (no retry, nobody waits before submitting more) against
-      a deliberately small admission bound, so the fast-reject path is
-      exercised and ``rejected > 0`` is observed rather than assumed.
-    """
-    from repro.core.engine import RingRPQEngine
-    from repro.errors import OverloadedError
-    from repro.serve.batch import drain_queries
-
-    engine = RingRPQEngine(index)
-    t0 = time.perf_counter()
-    completed = 0
-    for _ in range(rounds):
-        for query in queries:
-            engine.evaluate(query, timeout=timeout, limit=limit)
-            completed += 1
-    baseline_elapsed = time.perf_counter() - t0
-    baseline_qps = (
-        completed / baseline_elapsed if baseline_elapsed > 0 else 0.0
-    )
-
-    report: dict = {
-        "n_queries": len(queries),
-        "rounds": rounds,
-        "cache_size": cache_size,
-        "baseline": {
-            "mode": "sequential-uncached",
-            "completed": completed,
-            "elapsed_seconds": baseline_elapsed,
-            "qps": baseline_qps,
-        },
-        "cached": {},
-        "pools": {},
-    }
-    texts = [str(query) for query in queries]
-    for n in workers:
-        service = _make_pool_service(
-            "threads", index, n, max(64, len(queries) + n),
-            cache_size, timeout, limit,
-        )
-        try:
-            summary = drain_queries(
-                service, texts, rounds=rounds, timeout=timeout, limit=limit
-            )
-        finally:
-            service.close()
-        cache = summary["service"]["cache"]
-        report["cached"][str(n)] = {
-            "workers": n,
-            "completed": summary["completed"],
-            "rejected": summary["rejected"],
-            "elapsed_seconds": summary["elapsed_seconds"],
-            "qps": summary["qps"],
-            "speedup_vs_baseline": (
-                summary["qps"] / baseline_qps if baseline_qps > 0 else 0.0
-            ),
-            "cache_hits": cache["hits"],
-            "cache_misses": cache["misses"],
-            "cache_hit_rate": cache["hit_rate"],
-        }
-
-    for kind in pool_kinds:
-        section: dict = {}
-        for n in pool_workers:
-            service = _make_pool_service(
-                kind, index, n, max(64, len(queries) + n),
-                0, timeout, limit,
-            )
-            try:
-                summary = drain_queries(
-                    service, texts, rounds=1, timeout=timeout, limit=limit
-                )
-            finally:
-                service.close()
-            section[str(n)] = {
-                "workers": n,
-                "mode": "uncached",
-                "completed": summary["completed"],
-                "elapsed_seconds": summary["elapsed_seconds"],
-                "qps": summary["qps"],
-            }
-        single = section.get("1")
-        single_qps = single["qps"] if single else 0.0
-        for entry in section.values():
-            n = entry["workers"]
-            if single_qps > 0:
-                entry["speedup_vs_1"] = entry["qps"] / single_qps
-                entry["scaling_efficiency"] = entry["speedup_vs_1"] / n
-            else:
-                entry["speedup_vs_1"] = None
-                entry["scaling_efficiency"] = None
-        report["pools"][kind] = section
-
-    if burst_pending:
-        burst_workers = 2
-        service = _make_pool_service(
-            "threads", index, burst_workers, burst_pending,
-            0, timeout, limit,
-        )
-        accepted = []
-        rejected = 0
-        t0 = time.perf_counter()
-        try:
-            for query in texts:
-                try:
-                    accepted.append(service.submit(
-                        query, timeout=timeout, limit=limit
-                    ))
-                except OverloadedError:
-                    rejected += 1
-            for ticket in accepted:
-                ticket.result()
-        finally:
-            service.close()
-        report["burst"] = {
-            "mode": "open-loop",
-            "workers": burst_workers,
-            "max_pending": burst_pending,
-            "offered": len(texts),
-            "accepted": len(accepted),
-            "rejected": rejected,
-            "elapsed_seconds": time.perf_counter() - t0,
-        }
-    return report
-
-
-def stage_decomposition_report(
-    index,
-    queries: list[RPQ],
-    sample: int = 40,
-    timeout: "float | None" = None,
-    limit: "int | None" = 100_000,
-    workers: int = 2,
-    pool_kinds: tuple[str, ...] = ("threads", "processes"),
-) -> dict:
-    """Per-stage latency decomposition of both serving tiers.
-
-    Replays the first ``sample`` queries of the log through each
-    serving tier with the audit plane on (metrics registry + flight
-    recorder, cache disabled so every query pays the full path) and
-    reports, per tier, every ``serve.stage.*`` histogram as
-    mean/p50/p90 seconds plus its share of mean end-to-end latency.
-    The process tier's ``request_serialize`` + ``pipe_to_worker`` +
-    ``reply_transfer`` stages sum to ``ipc_overhead_mean_seconds`` —
-    the per-query price of crossing the process boundary, which is
-    what the thread-vs-process decision in ``docs/serving.md`` trades
-    against GIL-free execution.
-
-    Stage durations are telescoping differences of one monotonic
-    timeline, so per query they sum to the end-to-end latency exactly;
-    ``stage_sum_over_e2e`` reports the aggregate ratio as a built-in
-    self-check (1.0 up to clock-skew clamping).
-    """
-    from repro.obs.flight import FlightRecorder
-    from repro.obs.metrics import Metrics
-
-    texts = [str(query) for query in queries[:sample]]
-    report: dict = {
-        "sample_queries": len(texts),
-        "workers": workers,
-        "note": (
-            "stage means are single-machine numbers; on a single-core "
-            "runner the process tier's execute stage also absorbs "
-            "scheduling delay, so compare the IPC overhead stages, "
-            "not absolute execute time, across environments"
-        ),
-        "tiers": {},
-    }
-    for kind in pool_kinds:
-        registry = Metrics()
-        flight = FlightRecorder(len(texts) or 1)
-        service = _make_pool_service(
-            kind, index, workers, max(64, len(texts) + workers),
-            0, timeout, limit, metrics=registry, flight=flight,
-        )
-        try:
-            for text in texts:
-                service.evaluate(text)
-        finally:
-            service.close()
-        e2e = registry.histogram("serve.e2e_seconds")
-        e2e_mean = (e2e.total / e2e.count) if e2e and e2e.count else 0.0
-        stages: dict[str, dict] = {}
-        stage_mean_sum = 0.0
-        for name in sorted(registry.histograms):
-            if not name.startswith("serve.stage."):
-                continue
-            hist = registry.histograms[name]
-            mean = hist.total / hist.count if hist.count else 0.0
-            stage_mean_sum += hist.total
-            summary = hist.summary()
-            stages[name[len("serve.stage."):]] = {
-                "count": hist.count,
-                "mean_seconds": mean,
-                "p50_seconds": summary["p50"],
-                "p90_seconds": summary["p90"],
-                "share_of_e2e": (mean / e2e_mean) if e2e_mean else 0.0,
-            }
-        ipc = sum(
-            stages[stage]["mean_seconds"]
-            for stage in ("request_serialize", "pipe_to_worker",
-                          "reply_transfer")
-            if stage in stages
-        )
-        report["tiers"][kind] = {
-            "e2e_mean_seconds": e2e_mean,
-            "stages": stages,
-            "ipc_overhead_mean_seconds": ipc,
-            "ipc_overhead_share": (ipc / e2e_mean) if e2e_mean else 0.0,
-            "stage_sum_over_e2e": (
-                stage_mean_sum / (e2e.total or 1.0) if e2e else 0.0
-            ),
-            "flight_recorded": flight.total_recorded,
-        }
-    return report
 
 
 def run_benchmark(

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.planner import query_working_set_bytes
 from repro.ring.builder import RingIndex
 
 
@@ -107,20 +108,6 @@ def engine_bytes_per_edge(name: str, index: RingIndex) -> float:
     if model is None:
         raise KeyError(f"no space model for engine {name!r}")
     return model.bytes_per_edge()
-
-
-def query_working_set_bytes(index: RingIndex, nfa_bits: int = 16) -> float:
-    """Absolute query-time working space of the ring engine, in bytes.
-
-    Mirrors §5: the ``D`` visited array is one ``nfa_bits`` cell per
-    node plus the lazy-initialisation structure, and ``B`` one cell per
-    predicate — both tiny relative to the index.  This is the
-    pre-execution estimate EXPLAIN prints; per-edge normalisation lives
-    in :func:`working_space_bytes_per_edge`.
-    """
-    d_bits = index.dictionary.num_nodes * (nfa_bits + 2)
-    b_bits = index.dictionary.num_predicates * nfa_bits
-    return (d_bits + b_bits) / 8
 
 
 def working_space_bytes_per_edge(index: RingIndex,

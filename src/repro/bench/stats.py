@@ -74,7 +74,7 @@ def percentile(values: list[float], q: float) -> float:
     ``(n - 1) * q / 100`` over the sorted values, interpolating
     linearly between the two bracketing order statistics (the same
     "linear" method as ``numpy.percentile``'s default, spelled out so
-    trajectory files cannot drift with library versions).
+    reports cannot drift with library versions).
     """
     if not 0.0 <= q <= 100.0:
         raise ValueError(f"percentile {q} outside [0, 100]")
@@ -86,25 +86,6 @@ def percentile(values: list[float], q: float) -> float:
     hi = min(lo + 1, len(ordered) - 1)
     fraction = rank - lo
     return ordered[lo] + (ordered[hi] - ordered[lo]) * fraction
-
-
-#: The percentile levels trajectory files report per timing cell.
-REPORT_PERCENTILES = (50.0, 90.0, 95.0, 99.0)
-
-
-def percentiles(
-    values: list[float], qs: tuple[float, ...] = REPORT_PERCENTILES,
-) -> dict[str, float]:
-    """``{"p50": ..., "p90": ..., ...}`` plus ``"max"`` for ``values``.
-
-    Empty input returns ``{}`` so callers can splice the result into a
-    report unconditionally.
-    """
-    if not values:
-        return {}
-    out = {f"p{q:g}": percentile(values, q) for q in qs}
-    out["max"] = max(values)
-    return out
 
 
 def geometric_mean(values: list[float], floor: float = 1e-6) -> float:

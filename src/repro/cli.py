@@ -22,10 +22,10 @@ see :mod:`repro.graph.io`).
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 import time
 
-from repro.bench import fig8, table1, table2
 from repro.baselines.registry import (
     BASELINE_CLASSES,
     MATRIX_ENGINES,
@@ -515,7 +515,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    driver = {"table1": table1, "table2": table2, "fig8": fig8}[args.artifact]
+    driver = importlib.import_module(f"repro.bench.{args.artifact}")
     rest = args.rest
     if rest and rest[0] == "--":
         rest = rest[1:]

@@ -7,8 +7,7 @@ backend: the completed graph compiled to one boolean CSR matrix per
 predicate (:mod:`repro.matrix.matrices`), the Glushkov product
 evaluated by state-blocked boolean multiplication
 (:mod:`repro.matrix.engine`), and a cost-model router that picks ring
-or matrix per query (:mod:`repro.matrix.routed`, with the estimates in
-:mod:`repro.bench.costmodel`).
+or matrix per query (:mod:`repro.matrix.routed`, estimates included).
 
 Importing this package requires :mod:`scipy`; the engine registry
 (:mod:`repro.baselines.registry`) guards the import so environments

@@ -4,7 +4,7 @@ Plain EXPLAIN (``repro explain``) describes how a query *would* run:
 the Glushkov position automaton, the ``B`` table mapping each
 predicate to the NFA states it activates, the §5 planner's strategy
 and anchor-side choice, and the cost model's pre-execution work
-estimates (:func:`repro.bench.costmodel.estimate_rpq_cost`).
+estimates (:func:`repro.core.planner.estimate_rpq_cost`).
 
 EXPLAIN ANALYZE (``--analyze``) additionally *runs* the query under
 full metrics — phase timers, hierarchical spans, instrumented succinct
@@ -15,8 +15,8 @@ ratio per row.  Where the ratio is far from 1 is exactly where the
 cost view; this estimated-vs-actual discipline follows the evaluation
 methodology of arXiv:2412.07729 and arXiv:2307.14930.
 
-This module is imported lazily by the CLI (it pulls in the bench
-subpackage); it is deliberately not re-exported from ``repro.obs``.
+This module is imported lazily by the CLI and is deliberately not
+re-exported from ``repro.obs``.
 """
 
 from __future__ import annotations
@@ -25,11 +25,12 @@ import json
 import uuid
 from dataclasses import dataclass
 
-from repro.automata.glushkov import (
-    build_glushkov,
-    resolve_atom_to_predicates,
+from repro.core.planner import (
+    PlanEstimate,
+    estimate_rpq_cost,
+    plan_inputs,
+    query_working_set_bytes,
 )
-from repro.bench.costmodel import PlanEstimate, estimate_rpq_cost
 from repro.core.query import as_query
 from repro.obs.metrics import Metrics
 from repro.obs.profile import ProfileReport, profile_query
@@ -43,13 +44,10 @@ def plan_dict(index, query, engine=None) -> dict:
     carries a ``routing`` section with both backends' predicted
     seconds and the decision.
     """
-    rpq = as_query(query)
-    automaton = build_glushkov(rpq.expr)
+    inputs = plan_inputs(index, query)
+    rpq, automaton, b_masks = inputs.rpq, inputs.automaton, inputs.b_masks
     dictionary = index.dictionary
-    b_masks = automaton.b_masks(
-        lambda atom: resolve_atom_to_predicates(atom, dictionary)
-    )
-    estimate = estimate_rpq_cost(index, rpq)
+    estimate = estimate_rpq_cost(index, inputs)
     if engine is None:
         engine = index.engine
     plan = engine.explain(rpq)
@@ -67,8 +65,6 @@ def plan_dict(index, query, engine=None) -> dict:
         dictionary.predicate_label(pid): automaton.state_mask_str(mask)
         for pid, mask in sorted(b_masks.items())
     }
-    from repro.bench.space import query_working_set_bytes
-
     plan["estimate"] = {
         "edges": estimate.edges,
         "touched_nodes": estimate.touched_nodes,
@@ -325,9 +321,10 @@ def explain_analyze(
     rpq = as_query(query)
     if query_id is None:
         query_id = f"explain-{uuid.uuid4().hex[:12]}"
-    plan = plan_dict(index, rpq, engine=engine)
-    plan["_text"] = format_plan(index, rpq, engine=engine)
-    estimate = estimate_rpq_cost(index, rpq)
+    inputs = plan_inputs(index, rpq)
+    plan = plan_dict(index, inputs, engine=engine)
+    plan["_text"] = format_plan(index, inputs, engine=engine)
+    estimate = estimate_rpq_cost(index, inputs)
     metrics = Metrics(
         trace_capacity=trace_capacity, span_capacity=span_capacity
     )

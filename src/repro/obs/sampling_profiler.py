@@ -17,7 +17,7 @@ Two readouts:
   (``root;frame;frame count``), directly loadable by ``flamegraph.pl``
   or speedscope;
 * :meth:`hot_phases` — sample counts per engine phase / module, the
-  summary ``/debug/vars`` and the bench trajectory embed.
+  summary ``/debug/vars`` embeds.
 
 Sampling bias caveat: stacks are captured at clock boundaries, so the
 counts estimate *wall-clock* attribution (including time blocked on

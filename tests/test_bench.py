@@ -28,7 +28,6 @@ from repro.bench.stats import (
     FiveNumber,
     geometric_mean,
     percentile,
-    percentiles,
     summarize,
 )
 from repro.bench.workload import generate_query_log
@@ -256,13 +255,6 @@ class TestStats:
             percentile([1.0], 101)
         with pytest.raises(ValueError):
             percentile([], 50)
-
-    def test_percentiles_dict(self):
-        out = percentiles([1.0, 2.0, 3.0])
-        assert set(out) == {"p50", "p90", "p95", "p99", "max"}
-        assert out["p50"] == 2.0 and out["max"] == 3.0
-        assert out["p90"] <= out["p95"] <= out["p99"] <= out["max"]
-        assert percentiles([]) == {}
 
 
 class TestSpace:

@@ -132,3 +132,27 @@ class TestBench:
         assert rc == 0
         out = capsys.readouterr().out
         assert "Table 1" in out
+
+
+class TestLayering:
+    def test_serving_imports_leave_the_bench_harness_out(self):
+        """``bench`` imports core / matrix / serve, never the reverse:
+        starting the CLI, a serving tier, the router or EXPLAIN loads
+        no ``repro.bench`` module."""
+        import importlib.util
+        import subprocess
+        import sys
+
+        modules = ["repro.cli", "repro.serve", "repro.obs.explain"]
+        if importlib.util.find_spec("scipy") is not None:
+            modules.append("repro.matrix.routed")
+        code = (
+            f"import sys, {', '.join(modules)}\n"
+            "print(sorted(m for m in sys.modules"
+            " if m.startswith('repro.bench')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], check=True,
+            capture_output=True, text=True,
+        ).stdout
+        assert out.strip() == "[]"

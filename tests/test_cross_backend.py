@@ -10,6 +10,9 @@ tagging (see ``tests/harness.py``).
 
 from __future__ import annotations
 
+import dataclasses
+from collections import Counter
+
 import pytest
 
 pytest.importorskip(
@@ -19,7 +22,9 @@ pytest.importorskip(
 
 from tests.harness import build_engines, check_query, iter_corpus
 from repro.baselines.registry import make_engine
+from repro.bench.context import tiny_context
 from repro.graph.generators import random_graph
+from repro.matrix.routed import MISROUTE_FLOOR_SECONDS, MISROUTE_MARGIN
 from repro.obs.explain import explain_analyze
 from repro.ring.builder import RingIndex
 
@@ -81,6 +86,51 @@ def test_routed_explain_analyze_reports_backend():
         as_dict = report.to_dict()
         assert as_dict["routing"]["backend"] == routing["backend"]
         assert as_dict["backend"] == routing["backend"]
+
+
+#: ``(backend, ring_seconds, matrix_seconds)`` of three
+#: ``generated_patterns.json`` queries priced on ``tiny_context()``'s
+#: index, recorded while the estimates still lived in
+#: ``repro.bench.costmodel``: moving them must change no arithmetic.
+_RECORDED_CHOICES = {
+    "(?x, ((p0|p1)+/p2)*, ?y)":
+        ("matrix", 0.014000000000000002, 0.006021608),
+    "(n0, p0/p1*, ?y)": ("ring", 5.880000000000001e-05, 0.00302198),
+    "(?x, ^!(p2), ?y)": ("matrix", 0.0308, 0.0029432),
+}
+
+
+def test_router_splits_the_log_by_shape():
+    """Both-variable queries go to the matrix, anchored ones to the
+    ring (the split docs/backends.md states), one memoised decision per
+    (expression, shape), discredited only by a latency past both the
+    floor and the margin."""
+    context = tiny_context()
+    routed = make_engine("routed", context.index)
+    split = Counter(
+        (query.shape() == "vv", routed.backend_for(query))
+        for query in context.queries
+    )
+    assert split == {(True, "matrix"): 8, (False, "ring"): 33}
+
+    for query, (backend, ring_s, matrix_s) in _RECORDED_CHOICES.items():
+        choice = routed.choice_for(query)
+        assert choice.backend == backend
+        assert choice.ring_seconds == pytest.approx(ring_s, rel=1e-12)
+        assert choice.matrix_seconds == pytest.approx(matrix_s, rel=1e-12)
+
+    choice = routed.choice_for("(n0, p0/p1*, ?y)")
+    assert routed.choice_for("(n7, p0/p1*, ?y)") is choice
+    assert routed.choice_for("(?x, p0/p1*, n0)") is not choice
+
+    # A misroute is past the floor *and* past the margin.  500x the
+    # prediction but under the floor is scheduler noise.
+    fast = dataclasses.replace(choice, backend="ring", ring_seconds=1e-4)
+    assert not fast.is_misroute(MISROUTE_FLOOR_SECONDS)
+    assert fast.is_misroute(MISROUTE_FLOOR_SECONDS * 1.01)
+    slow = dataclasses.replace(choice, backend="matrix", matrix_seconds=0.1)
+    assert not slow.is_misroute(MISROUTE_MARGIN * 0.1 * 0.99)
+    assert slow.is_misroute(MISROUTE_MARGIN * 0.1 * 1.01)
 
 
 def test_matrix_explain_lists_step_matrices():

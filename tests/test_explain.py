@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.bench.costmodel import estimate_rpq_cost
+from repro.core.planner import estimate_rpq_cost
 from repro.cli import main
 from repro.obs.explain import explain_analyze, format_plan, plan_dict
 

@@ -467,13 +467,13 @@ class TestLiveSpaceEndpoints:
 
 
 # ----------------------------------------------------------------------
-# EXPLAIN working set, trajectory history, metrics audit
+# EXPLAIN working set, metrics audit
 # ----------------------------------------------------------------------
 
 
 class TestExplainWorkingSet:
     def test_plan_carries_working_set_bytes(self, kg_index):
-        from repro.bench.space import query_working_set_bytes
+        from repro.core.planner import query_working_set_bytes
         from repro.obs.explain import format_plan, plan_dict
 
         plan = plan_dict(kg_index, "(?x, p0/p1, ?y)")
@@ -483,37 +483,6 @@ class TestExplainWorkingSet:
         text = format_plan(kg_index, "(?x, p0/p1, ?y)")
         assert "working set" in text
         assert "D visited array" in text
-
-
-class TestTrajectoryHistory:
-    def test_missing_or_alien_report_yields_empty(self):
-        from repro.bench.trajectory import _carry_history
-
-        assert _carry_history(None) == []
-        assert _carry_history({"unrelated": 1}) == []
-
-    def test_headline_appended_and_capped(self):
-        from repro.bench.trajectory import HISTORY_LIMIT, _carry_history
-
-        old = {
-            "meta": {"label": "run-7"},
-            "overall": {
-                "count": 10, "mean_seconds": 0.5, "timeouts": 1,
-                "percentiles": {"p50": 0.1, "p99": 0.9},
-            },
-            "space": {"ring": {"bits_per_triple": 88.5}},
-            "history": [
-                {"label": f"run-{i}"} for i in range(HISTORY_LIMIT)
-            ],
-        }
-        history = _carry_history(old)
-        assert len(history) == HISTORY_LIMIT
-        head = history[-1]
-        assert head["label"] == "run-7"
-        assert head["ring_bits_per_triple"] == 88.5
-        assert head["p99_seconds"] == 0.9
-        # Oldest entry fell off.
-        assert history[0]["label"] == "run-1"
 
 
 class TestMetricsAudit:
