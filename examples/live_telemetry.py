@@ -6,10 +6,11 @@ registry, slow log, JSON-lines query log, resource sampler, sampling
 profiler, flight recorder and the background HTTP endpoint — then
 drives a workload while scraping ``/metrics``, ``/healthz``,
 ``/debug/vars`` and ``/debug/flight`` over real HTTP exactly as a
-Prometheus agent would.  Asserts on everything it scrapes, so CI can
-run it as the serving-plane smoke test, and finally writes the
-profiler's collapsed stacks for flamegraph tooling plus the flight
-recorder's audit-ring dump.
+Prometheus agent would.  Asserts on everything it scrapes — including
+that the flight ring, the query log and the slow log hold the same
+record of a query (one record, three sinks) — so CI can run it as the
+serving-plane smoke test, and finally writes the profiler's collapsed
+stacks for flamegraph tooling plus the flight ring's dump.
 
 Run with::
 
@@ -160,17 +161,27 @@ def main() -> None:
               f"{flight_dump['total_recorded']} audit records retained "
               f"({flight_dump['dropped']} dropped); dump at {flight_path}")
 
-        # -- query-id correlation: one id joins every record stream.
-        records = read_query_log(log_path)
-        assert len(records) == len(queries), (len(records), len(queries))
-        slow_entries = slow_log.entries()
-        assert slow_entries and all(e.query_id for e in slow_entries)
-        worst = slow_entries[0]
-        (match,) = [r for r in records if r["query_id"] == worst.query_id]
-        assert match["query"] == worst.query
-        print(f"query log ok: {len(records)} lines; slowest query "
-              f"{worst.query_id} ({worst.elapsed * 1e3:.2f} ms) found in "
-              "both slow log and query log")
+        # -- one record, three sinks: every settled query was described
+        # once, so its flight record and its query-log line agree on
+        # every key they share (``ts`` included), and the slowest
+        # query's slow-log entry is that same dict plus its detail.
+        lines = {r["query_id"]: r for r in read_query_log(log_path)}
+        assert len(lines) == len(queries), (len(lines), len(queries))
+        for record in ring:
+            line = lines[record["query_id"]]
+            assert {k: line[k] for k in record} == record, (record, line)
+        worst = slow_log.to_dict()["entries"][0]
+        line = lines[worst["query_id"]]
+        for sink in [line] + [r for r in ring
+                              if r["query_id"] == worst["query_id"]]:
+            shared = worst.keys() & sink.keys()
+            assert {"ts", "query", "elapsed", "stages"} <= shared
+            assert all(worst[k] == sink[k] for k in shared), (worst, sink)
+        assert {"counters", "phase_seconds", "span_tree"} <= worst.keys()
+        print(f"query log ok: {len(lines)} lines, each equal to its "
+              f"flight record; slowest query {worst['query_id']} "
+              f"({worst['elapsed'] * 1e3:.2f} ms) is the same record in "
+              "the slow log, with counters, phases and span tree")
 
     profiler.write_collapsed(out)
     print(f"collapsed stacks ({len(profiler.stack_counts())} distinct) "

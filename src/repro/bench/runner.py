@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from repro.bench.patterns import classify_query
 from repro.bench.stats import FiveNumber, Summary, percentile, summarize
+from repro.core.engine import offer_slow
 from repro.core.query import RPQ
 
 
@@ -253,15 +254,6 @@ def run_benchmark(
                     counters=stats.operation_counts(),
                 )
             )
-            if slow_log is not None and slow_log.would_keep(stats.elapsed):
-                slow_log.record(
-                    str(query), stats.elapsed,
-                    n_results=len(outcome),
-                    timed_out=stats.timed_out,
-                    truncated=stats.truncated,
-                    counters=stats.operation_counts(),
-                    engine=name,
-                )
-            elif slow_log is not None:
-                slow_log.total_recorded += 1
+            if slow_log is not None:
+                offer_slow(slow_log, str(query), stats, len(outcome), name)
     return results

@@ -44,6 +44,7 @@ from repro.core.query import RPQ, as_query
 from repro.core.result import QueryResult, QueryStats
 from repro.errors import QueryCancelledError, QueryTimeoutError
 from repro.obs.metrics import NULL_METRICS
+from repro.obs.record import QueryRecord
 from repro.ring.ring import listing_runs
 
 #: How many :meth:`_Budget.tick` calls between wall-clock checks.  The
@@ -126,6 +127,88 @@ class _EvalContext:
         self.obs = obs
         self.forbidden_ids = forbidden_ids
         self.memo: dict[RegexNode, "_Prepared"] = {}
+
+
+def offer_slow(slow_log, query: str, stats: QueryStats, n_results: int,
+               engine: str, obs=NULL_METRICS, query_span=None) -> None:
+    """Offer one finished evaluation to a slow log, building the
+    detail (counters, phases, the ``query_span`` subtree) only once
+    ``would_keep`` says it will be retained: a fast query costs one
+    small object and one comparison."""
+    record = QueryRecord(query, stats, n_results, engine)
+    if slow_log.would_keep(stats.elapsed):
+        record.attach_detail(stats, obs, query_span)
+    slow_log.offer(record)
+
+
+def run_query(engine, query, observed: tuple, timeout, limit,
+              forbidden_nodes, metrics, cancel, query_id) -> QueryResult:
+    """The evaluation envelope every backend's ``evaluate`` runs in.
+
+    Owns everything about one evaluation that is not the backend's
+    algorithm: parsing, the :class:`QueryStats`, :class:`_Budget` and
+    :class:`_EvalContext`, the ``query`` span, turning a timeout or a
+    cancellation into a flagged partial result, the ``limit <= 0``
+    short-circuit, the ``engine.queries`` counter and ``query.*``
+    histograms, and the slow-log offer.  The backend is
+    ``engine._dispatch(rpq, ctx, limit, result)``; ``observed`` names
+    the :class:`QueryStats` counters it wants as ``query.<name>``
+    histograms.
+    """
+    rpq = as_query(query)
+    stats = QueryStats()
+    stats.backend = engine.name
+    if query_id:
+        stats.query_id = query_id
+    budget = _Budget(timeout, cancel=cancel)
+    result = QueryResult(stats=stats)
+    obs = metrics if metrics is not None else engine.metrics
+    forbidden: frozenset[int] = frozenset()
+    if forbidden_nodes is not None:
+        dictionary = engine.dictionary
+        forbidden = frozenset(
+            dictionary.node_id(label)
+            for label in forbidden_nodes
+            if dictionary.has_node(label)
+        )
+    ctx = _EvalContext(budget, stats, obs, forbidden)
+    spans = obs.spans if obs.enabled else None
+    query_span = spans.start("query") if spans is not None else None
+    try:
+        if obs.enabled:
+            obs.inc("engine.queries")
+            if obs.tracing:
+                obs.record("query", query=str(rpq), shape=rpq.shape(),
+                           query_id=query_id)
+        if limit is not None and limit <= 0:
+            stats.truncated = True
+        else:
+            engine._dispatch(rpq, ctx, limit, result)
+    except QueryTimeoutError:
+        stats.timed_out = True
+    except QueryCancelledError:
+        stats.cancelled = True
+    finally:
+        if query_span is not None:
+            query_span.set(
+                query=str(rpq), shape=rpq.shape(),
+                n_results=len(result.pairs),
+            )
+            if query_id:
+                query_span.set(query_id=query_id)
+            # Also closes any spans a timeout left open underneath.
+            spans.end(query_span)
+    stats.elapsed = budget.elapsed()
+    if obs.enabled:
+        obs.add_phase("total", stats.elapsed)
+        obs.observe("query.seconds", stats.elapsed)
+        obs.observe("query.results", len(result.pairs))
+        for name in observed:
+            obs.observe(f"query.{name}", getattr(stats, name))
+    if engine.slow_log is not None:
+        offer_slow(engine.slow_log, str(rpq), stats, len(result.pairs),
+                   engine.name, obs, query_span)
+    return result
 
 
 class _Prepared:
@@ -340,79 +423,10 @@ class RingRPQEngine:
         one engine never observe each other's metrics, forbidden sets
         or prepare memos.
         """
-        rpq = as_query(query)
-        stats = QueryStats()
-        stats.backend = self.name
-        if query_id:
-            stats.query_id = query_id
-        budget = _Budget(timeout, cancel=cancel)
-        result = QueryResult(stats=stats)
-        obs = metrics if metrics is not None else self.metrics
-        forbidden: frozenset[int] = frozenset()
-        if forbidden_nodes is not None:
-            forbidden = frozenset(
-                self.dictionary.node_id(label)
-                for label in forbidden_nodes
-                if self.dictionary.has_node(label)
-            )
-        ctx = _EvalContext(budget, stats, obs, forbidden)
-        spans = obs.spans if obs.enabled else None
-        query_span = spans.start("query") if spans is not None else None
-        try:
-            if obs.enabled:
-                obs.inc("engine.queries")
-                if obs.tracing:
-                    obs.record("query", query=str(rpq), shape=rpq.shape(),
-                               query_id=query_id)
-            if limit is not None and limit <= 0:
-                stats.truncated = True
-            else:
-                self._dispatch(rpq, ctx, limit, result)
-        except QueryTimeoutError:
-            stats.timed_out = True
-        except QueryCancelledError:
-            stats.cancelled = True
-        finally:
-            if query_span is not None:
-                query_span.set(
-                    query=str(rpq), shape=rpq.shape(),
-                    n_results=len(result.pairs),
-                )
-                if query_id:
-                    query_span.set(query_id=query_id)
-                # Also closes any spans a timeout left open underneath.
-                spans.end(query_span)
-        stats.elapsed = budget.elapsed()
-        if obs.enabled:
-            obs.add_phase("total", stats.elapsed)
-            obs.observe("query.seconds", stats.elapsed)
-            obs.observe("query.results", len(result.pairs))
-            obs.observe("query.backward_steps", stats.backward_steps)
-            obs.observe("query.wavelet_nodes", stats.wavelet_nodes)
-        slow_log = self.slow_log
-        if slow_log is not None:
-            # would_keep gates the snapshot build; fast queries cost
-            # one comparison (record() re-checks and counts them).
-            if slow_log.would_keep(stats.elapsed):
-                slow_log.record(
-                    str(rpq), stats.elapsed,
-                    n_results=len(result.pairs),
-                    timed_out=stats.timed_out,
-                    truncated=stats.truncated,
-                    counters=stats.operation_counts(),
-                    phase_seconds=(
-                        dict(obs.phase_seconds) if obs.enabled else {}
-                    ),
-                    span_tree=(
-                        spans.tree(query_span)
-                        if spans is not None else None
-                    ),
-                    engine=self.name,
-                    query_id=query_id,
-                )
-            else:
-                slow_log.total_recorded += 1
-        return result
+        return run_query(
+            self, query, ("backward_steps", "wavelet_nodes"), timeout,
+            limit, forbidden_nodes, metrics, cancel, query_id,
+        )
 
     def explain(self, query: RPQ | str) -> dict:
         """Describe how a query would be evaluated, without running it.

@@ -25,7 +25,6 @@ pipeline and the benchmarks can swap backends freely.
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from collections.abc import Iterable
 
@@ -38,40 +37,12 @@ from repro.automata.glushkov import (
     resolve_atom_to_predicates,
 )
 from repro.automata.syntax import RegexNode
+from repro.core.engine import _Budget, run_query
 from repro.core.query import RPQ, as_query
 from repro.core.result import QueryResult, QueryStats
-from repro.errors import QueryCancelledError, QueryTimeoutError
 from repro.matrix.matrices import PredicateMatrices
 from repro.obs.metrics import NULL_METRICS
 from repro._util.bits import iter_set_bits
-
-
-class _Budget:
-    """Wall-clock / cancellation budget of one matrix evaluation.
-
-    Matrix rounds are coarse (one sparse multiply can cover thousands
-    of product edges), so unlike the ring's every-4th-tick check this
-    budget consults the clock on *every* call.
-    """
-
-    __slots__ = ("cancel", "deadline", "start")
-
-    def __init__(self, timeout: float | None, cancel=None):
-        self.start = time.monotonic()
-        self.deadline = None if timeout is None else self.start + timeout
-        self.cancel = cancel
-
-    def check(self) -> None:
-        if self.cancel is not None and self.cancel.is_set():
-            raise QueryCancelledError(time.monotonic() - self.start)
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise QueryTimeoutError(
-                time.monotonic() - self.start,
-                self.deadline - self.start,
-            )
-
-    def elapsed(self) -> float:
-        return time.monotonic() - self.start
 
 
 def _or_all(parts: "list[sp.csr_matrix]") -> "sp.csr_matrix":
@@ -207,80 +178,16 @@ class MatrixRPQEngine:
         sorted ``(subject_id, object_id)`` order within each frontier
         round, so which pairs survive a cap is deterministic.
         """
-        rpq = as_query(query)
-        stats = QueryStats()
-        stats.backend = self.name
-        if query_id:
-            stats.query_id = query_id
-        budget = _Budget(timeout, cancel=cancel)
-        result = QueryResult(stats=stats)
-        obs = metrics if metrics is not None else self.metrics
-        spans = obs.spans if obs.enabled else None
-        query_span = spans.start("query") if spans is not None else None
-        try:
-            if obs.enabled:
-                obs.inc("engine.queries")
-                if obs.tracing:
-                    obs.record("query", query=str(rpq), shape=rpq.shape(),
-                               query_id=query_id)
-            if limit is not None and limit <= 0:
-                stats.truncated = True
-            else:
-                self._dispatch(rpq, budget, limit, forbidden_nodes,
-                               result, obs)
-        except QueryTimeoutError:
-            stats.timed_out = True
-        except QueryCancelledError:
-            stats.cancelled = True
-        finally:
-            if query_span is not None:
-                query_span.set(
-                    query=str(rpq), shape=rpq.shape(),
-                    n_results=len(result.pairs),
-                )
-                if query_id:
-                    query_span.set(query_id=query_id)
-                spans.end(query_span)
-        stats.elapsed = budget.elapsed()
-        if obs.enabled:
-            obs.add_phase("total", stats.elapsed)
-            obs.observe("query.seconds", stats.elapsed)
-            obs.observe("query.results", len(result.pairs))
-            obs.observe("query.matmuls", stats.matmuls)
-        slow_log = self.slow_log
-        if slow_log is not None:
-            if slow_log.would_keep(stats.elapsed):
-                slow_log.record(
-                    str(rpq), stats.elapsed,
-                    n_results=len(result.pairs),
-                    timed_out=stats.timed_out,
-                    truncated=stats.truncated,
-                    counters=stats.operation_counts(),
-                    phase_seconds=(
-                        dict(obs.phase_seconds) if obs.enabled else {}
-                    ),
-                    span_tree=(
-                        spans.tree(query_span)
-                        if spans is not None else None
-                    ),
-                    engine=self.name,
-                    query_id=query_id,
-                )
-            else:
-                slow_log.total_recorded += 1
-        return result
+        return run_query(
+            self, query, ("matmuls",), timeout, limit, forbidden_nodes,
+            metrics, cancel, query_id,
+        )
 
     # ------------------------------------------------------------------
 
-    def _dispatch(self, rpq, budget, limit, forbidden_nodes, result, obs):
+    def _dispatch(self, rpq, ctx, limit, result):
         dictionary = self.dictionary
-        forbidden: frozenset[int] = frozenset()
-        if forbidden_nodes is not None:
-            forbidden = frozenset(
-                dictionary.node_id(label)
-                for label in forbidden_nodes
-                if dictionary.has_node(label)
-            )
+        budget, obs, forbidden = ctx.budget, ctx.obs, ctx.forbidden_ids
         shape = rpq.shape()
         if shape == "vv":
             self._eval_var_var(rpq, budget, limit, forbidden, result, obs)

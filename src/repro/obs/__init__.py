@@ -18,8 +18,10 @@ this subpackage makes that accounting first-class:
   behind the same hoisted ``enabled`` guards;
 * :mod:`repro.obs.histogram` — log-bucketed :class:`LogHistogram` with
   deterministic p50/p90/p99;
-* :mod:`repro.obs.slowlog` — :class:`SlowQueryLog`, a bounded record
-  of the K worst queries with counter snapshots and span trees;
+* :mod:`repro.obs.record` — :class:`QueryRecord`, the one description
+  of a finished query; the three sinks below are views of it;
+* :mod:`repro.obs.slowlog` — :class:`SlowQueryLog`, the records of the
+  K worst queries with their counter snapshots and span trees;
 * :mod:`repro.obs.export` — :func:`prometheus_text`, the Prometheus
   text-format exporter over any :class:`Metrics`;
 * :mod:`repro.obs.timeseries` — :class:`TimeSeries`, fixed-capacity
@@ -30,8 +32,8 @@ this subpackage makes that accounting first-class:
 * :mod:`repro.obs.sampling_profiler` — :class:`SamplingProfiler`, a
   signal-free statistical profiler over ``sys._current_frames()``
   with flamegraph collapsed-stack export and §4 phase attribution;
-* :mod:`repro.obs.querylog` — :class:`QueryLogWriter`, structured
-  JSON-lines logging of every settled query keyed by ``query_id``;
+* :mod:`repro.obs.querylog` — :class:`QueryLogWriter`, every settled
+  query's record as one JSON line keyed by ``query_id``;
 * :mod:`repro.obs.httpd` — :class:`TelemetryServer`, the stdlib-only
   background HTTP server exposing ``/metrics``, ``/healthz``,
   ``/debug/vars``, ``/debug/profile`` and ``/debug/flight`` while the
@@ -40,11 +42,8 @@ this subpackage makes that accounting first-class:
   audit plane's ordered monotonic stage marks (submit → queue → worker
   → settle) whose telescoping differences are the ``serve.stage.*``
   latency decomposition;
-* :mod:`repro.obs.audit` — :func:`audit_record` / :func:`span_digest`,
-  the compact per-query audit record joining lifecycle stages, outcome
-  flags, backend, cache verdict and a span-tree digest;
 * :mod:`repro.obs.flight` — :class:`FlightRecorder`, the always-on
-  bounded ring of the last N settled queries' audit records
+  bounded ring of the last N settled queries' record dicts
   (``/debug/flight``, worker-crash post-mortem context);
 * :mod:`repro.obs.space` — the space-audit plane: :class:`SpaceNode`
   trees assembled from every storage structure's ``measure()`` hook
@@ -66,7 +65,6 @@ from repro.obs.instrument import (
     instrument_matrix,
     instrument_ring,
 )
-from repro.obs.audit import audit_record, span_digest
 from repro.obs.export import label_key, prometheus_text
 from repro.obs.flight import FlightRecorder
 from repro.obs.histogram import LogHistogram
@@ -75,9 +73,10 @@ from repro.obs.lifecycle import QueryLifecycle
 from repro.obs.metrics import NULL_METRICS, Metrics, NullMetrics, TraceEvent
 from repro.obs.profile import ProfileReport, profile_query
 from repro.obs.querylog import QueryLogWriter, read_query_log
+from repro.obs.record import QueryRecord
 from repro.obs.sampler import ResourceSampler
 from repro.obs.sampling_profiler import SamplingProfiler
-from repro.obs.slowlog import SlowQueryEntry, SlowQueryLog
+from repro.obs.slowlog import SlowQueryLog
 from repro.obs.space import (
     SpaceNode,
     audit_index,
@@ -101,9 +100,9 @@ __all__ = [
     "ProfileReport",
     "QueryLifecycle",
     "QueryLogWriter",
+    "QueryRecord",
     "ResourceSampler",
     "SamplingProfiler",
-    "SlowQueryEntry",
     "SlowQueryLog",
     "Span",
     "SpaceNode",
@@ -114,7 +113,6 @@ __all__ = [
     "audit_index",
     "audit_manifest",
     "audit_metrics",
-    "audit_record",
     "audit_service",
     "deep_getsizeof",
     "instrument_bitvector",
@@ -126,5 +124,4 @@ __all__ = [
     "prometheus_text",
     "publish_space_gauges",
     "read_query_log",
-    "span_digest",
 ]

@@ -2,12 +2,12 @@
 
 Aggregate histograms answer "how slow is the p99?"; the flight recorder
 answers "what were the last N queries when things went wrong?".  It is
-the serving layer's black box: every settled query appends one compact
-:mod:`repro.obs.audit` record (lifecycle stages, outcome flags, routed
-backend, cache hit, result count, span-tree digest) into a bounded
-thread-safe ring, cheap enough to leave on in production — one dict
-build plus one deque append per query, no I/O, memory bounded by the
-capacity no matter how long the service runs.
+the serving layer's black box: every settled query appends the dict of
+its :class:`~repro.obs.record.QueryRecord` (lifecycle stages, outcome
+flags, routed backend, cache hit, result count, span-tree digest) into
+a bounded thread-safe ring, cheap enough to leave on in production —
+one dict build plus one deque append per query, no I/O, memory bounded
+by the capacity no matter how long the service runs.
 
 Consumers:
 
@@ -31,11 +31,11 @@ DEFAULT_CAPACITY = 256
 
 
 class FlightRecorder:
-    """A bounded, thread-safe ring buffer of audit records (dicts).
+    """A bounded, thread-safe ring buffer of query records (dicts).
 
     Records are plain JSON-ready dicts (see
-    :func:`repro.obs.audit.audit_record`); the recorder treats them as
-    opaque.  ``capacity`` bounds retained records; the total count
+    :meth:`repro.obs.record.QueryRecord.to_dict`); the recorder treats
+    them as opaque.  ``capacity`` bounds retained records; the total count
     keeps running so a reader can tell how much history scrolled away.
     """
 
@@ -49,10 +49,10 @@ class FlightRecorder:
 
     # ------------------------------------------------------------------
 
-    def record(self, audit: dict) -> None:
-        """Append one settled-query audit record."""
+    def record(self, record: dict) -> None:
+        """Append one settled query's record dict."""
         with self._lock:
-            self._ring.append(audit)
+            self._ring.append(record)
             self.total_recorded += 1
 
     def records(self, last: "int | None" = None) -> list[dict]:

@@ -199,20 +199,12 @@ class TelemetryServer:
                     for name, hist in sorted(metrics.histograms.items())
                 },
             }
-            slow_log = self.slow_log
-            if slow_log is not None:
-                entries = []
-                for entry in slow_log.entries():
-                    record = entry.to_dict()
+            if self.slow_log is not None:
+                out["slow_log"] = self.slow_log.to_dict()
+                for entry in out["slow_log"]["entries"]:
                     # Span trees belong in the slow log proper; keep
                     # the debug snapshot scrape-sized.
-                    record.pop("span_tree", None)
-                    entries.append(record)
-                out["slow_log"] = {
-                    "capacity": slow_log.capacity,
-                    "total_recorded": slow_log.total_recorded,
-                    "entries": entries,
-                }
+                    entry.pop("span_tree", None)
         if self.service is not None:
             out["service"] = self.service.stats()
             out["healthz"] = self.render_healthz()

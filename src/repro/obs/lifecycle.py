@@ -128,17 +128,6 @@ class QueryLifecycle:
         self.marks.append((stage, now))
         return now
 
-    def has(self, stage: str) -> bool:
-        """True when ``stage`` has been marked."""
-        return any(name == stage for name, _ in self.marks)
-
-    def at(self, stage: str) -> "float | None":
-        """Timestamp of ``stage``, or ``None`` when not marked."""
-        for name, t in self.marks:
-            if name == stage:
-                return t
-        return None
-
     # ------------------------------------------------------------------
     # Derived durations
     # ------------------------------------------------------------------
@@ -170,16 +159,6 @@ class QueryLifecycle:
     def settled(self) -> bool:
         """True once the ``settled`` mark landed."""
         return self.marks[-1][0] == "settled"
-
-    def to_dict(self) -> dict:
-        """JSON-ready dump: marks (relative to submission) + durations."""
-        t0 = self.marks[0][1]
-        return {
-            "query_id": self.query_id,
-            "marks": {name: t - t0 for name, t in self.marks},
-            "stages": self.stage_durations(),
-            "total_seconds": self.total(),
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         chain = " -> ".join(name for name, _ in self.marks)

@@ -3,19 +3,17 @@
 The slow log keeps the K worst queries; dashboards and offline
 analysis need the *other* direction too — every query, one compact
 line, join-able against the slow log and span trees by ``query_id``.
-:class:`QueryLogWriter` appends one JSON object per settled query:
-wall-clock timestamp, query id, query text, outcome flags, latency,
-queue wait and result count.  Counters are deliberately excluded from
-the default record (they multiply the line size ~10x and live in the
-slow log for the queries that matter); pass ``counters=True`` to
-include them anyway.
+:class:`QueryLogWriter` appends one JSON object per settled query: the
+:meth:`~repro.obs.record.QueryRecord.to_dict` of its record — the same
+dict the flight recorder keeps — under a ``schema_version``.  Counters
+and span trees are not in it (they multiply the line size ~10x and live
+in the slow log for the queries that matter).
 
-Schema v2 (``schema_version: 2``) extends every line — all v1 fields
-kept — with the per-request audit plane's join keys: ``backend`` (which
-engine computed the answer), ``cache_hit``, and ``stages`` (the
-lifecycle stage-duration decomposition, see
-:mod:`repro.obs.lifecycle`), so one ``query_id`` joins the query log,
-the flight recorder and the histogram exemplars with no extra lookup.
+``schema_version: 3`` is every v2 key (v1's ``ts``, ``query_id``,
+``query``, ``elapsed``, ``n_results``, flags, ``wait_seconds``,
+``engine``; v2's ``backend``, ``cache_hit``, ``stages``) plus
+``total_seconds``, ``worker``, ``span_digest`` and, for a query whose
+engine raised, ``error`` / ``error_detail``.
 
 The writer is thread-safe (one lock around write+flush) and used by
 :class:`~repro.serve.QueryService` when constructed with
@@ -26,7 +24,6 @@ from __future__ import annotations
 
 import json
 import threading
-import time
 
 
 class QueryLogWriter:
@@ -37,13 +34,9 @@ class QueryLogWriter:
     target:
         A path (opened for append) or any writable text file object
         (kept open; closed by :meth:`close` only when owned).
-    counters:
-        Include each query's full operation-counter dict per line.
-    clock:
-        Wall-clock source for the ``ts`` field (default :func:`time.time`).
     """
 
-    def __init__(self, target, counters: bool = False, clock=time.time):
+    def __init__(self, target):
         if hasattr(target, "write"):
             self._handle = target
             self._owns_handle = False
@@ -52,60 +45,19 @@ class QueryLogWriter:
             self._handle = open(target, "a", encoding="utf-8")
             self._owns_handle = True
             self.path = str(target)
-        self.counters = counters
-        self.clock = clock
         self.written = 0
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
 
-    def log(
-        self,
-        query_id: str,
-        query: str,
-        stats,
-        n_results: int = 0,
-        wait_seconds: float | None = None,
-        engine: str | None = None,
-        stages: "dict[str, float] | None" = None,
-        **extra,
-    ) -> dict:
-        """Write one record; returns the dict that was written.
-
-        ``stats`` is a :class:`~repro.core.result.QueryStats` (or any
-        object with the same flag/elapsed attributes); ``stages`` the
-        lifecycle stage-duration decomposition of the serving tiers
-        (absent for bare-engine callers).
-        """
-        record: dict = {
-            "schema_version": 2,
-            "ts": self.clock(),
-            "query_id": query_id,
-            "query": query,
-            "elapsed": stats.elapsed,
-            "n_results": n_results,
-            "backend": getattr(stats, "backend", "") or (engine or ""),
-            "cache_hit": bool(getattr(stats, "cached", False)),
-        }
-        if engine is not None:
-            record["engine"] = engine
-        if wait_seconds is not None:
-            record["wait_seconds"] = wait_seconds
-        if stages is not None:
-            record["stages"] = stages
-        for flag in ("timed_out", "truncated", "cancelled", "cached"):
-            if getattr(stats, flag, False):
-                record[flag] = True
-        if self.counters:
-            record["counters"] = stats.operation_counts()
-        if extra:
-            record.update(extra)
-        line = json.dumps(record, separators=(",", ":"), sort_keys=True)
+    def log(self, record) -> None:
+        """Write one :class:`~repro.obs.record.QueryRecord` as a line."""
+        line = json.dumps({"schema_version": 3, **record.to_dict()},
+                          separators=(",", ":"), sort_keys=True)
         with self._lock:
             self._handle.write(line + "\n")
             self._handle.flush()
             self.written += 1
-        return record
 
     def close(self) -> None:
         """Flush and close the underlying file (when owned)."""

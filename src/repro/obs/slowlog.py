@@ -3,76 +3,22 @@
 A serving engine cannot keep every query's telemetry, but the handful
 of *worst* queries are exactly the ones worth keeping in full detail —
 they dominate tail latency and are where the paper's pruning argument
-either holds or falls apart.  :class:`SlowQueryLog` retains the K
-slowest queries seen so far (min-heap on elapsed time), each with its
-complete counter snapshot and, when span collection was on, the
-captured span tree.
+either holds or falls apart.  :class:`SlowQueryLog` retains the
+:class:`~repro.obs.record.QueryRecord` of the K slowest queries seen so
+far (min-heap on elapsed time), each with its detail: the complete
+counter snapshot, the phase seconds and, when span collection was on,
+the query's span tree.
 
-Attach one to an engine (``RingRPQEngine(..., slow_log=log)``) or a
-benchmark run (``run_benchmark(..., slow_log=log)``); recording is
-guarded by :meth:`would_keep` so the common fast query costs one float
-comparison.
+Attach one to an engine (``RingRPQEngine(..., slow_log=log)``), a
+service or a benchmark run (``run_benchmark(..., slow_log=log)``); they
+build the detail only after :meth:`would_keep`, so the common fast
+query costs one float comparison.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
-
-
-class SlowQueryEntry:
-    """One retained slow query."""
-
-    __slots__ = ("query", "elapsed", "seq", "n_results", "timed_out",
-                 "truncated", "counters", "phase_seconds", "span_tree",
-                 "engine", "query_id")
-
-    def __init__(self, query: str, elapsed: float, seq: int,
-                 n_results: int = 0, timed_out: bool = False,
-                 truncated: bool = False,
-                 counters: dict | None = None,
-                 phase_seconds: dict | None = None,
-                 span_tree: list | None = None,
-                 engine: str | None = None,
-                 query_id: str | None = None):
-        self.query = query
-        self.elapsed = elapsed
-        self.seq = seq
-        self.n_results = n_results
-        self.timed_out = timed_out
-        self.truncated = truncated
-        self.counters = counters or {}
-        self.phase_seconds = phase_seconds or {}
-        self.span_tree = span_tree
-        self.engine = engine
-        self.query_id = query_id
-
-    def to_dict(self) -> dict:
-        out = {
-            "query": self.query,
-            "elapsed": self.elapsed,
-            "n_results": self.n_results,
-            "timed_out": self.timed_out,
-            "truncated": self.truncated,
-            "counters": dict(sorted(self.counters.items())),
-            "phase_seconds": dict(sorted(self.phase_seconds.items())),
-        }
-        if self.query_id is not None:
-            out["query_id"] = self.query_id
-        if self.engine is not None:
-            out["engine"] = self.engine
-        if self.span_tree is not None:
-            out["span_tree"] = self.span_tree
-        return out
-
-    def __lt__(self, other: "SlowQueryEntry") -> bool:
-        # Heap order: by elapsed, ties broken by arrival order so the
-        # eviction decision is deterministic.
-        return (self.elapsed, self.seq) < (other.elapsed, other.seq)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"SlowQueryEntry({self.query!r}, "
-                f"elapsed={self.elapsed:.4f}s)")
 
 
 class SlowQueryLog:
@@ -84,7 +30,9 @@ class SlowQueryLog:
         if capacity < 1:
             raise ValueError("slow-query log capacity must be >= 1")
         self.capacity = capacity
-        self._heap: list[SlowQueryEntry] = []
+        # (elapsed, seq, record): ties broken by arrival order so the
+        # eviction decision is deterministic.
+        self._heap: list[tuple] = []
         self._seq = 0
         self.total_recorded = 0
 
@@ -96,7 +44,7 @@ class SlowQueryLog:
         """Minimum elapsed time a new query needs to be retained."""
         if len(self._heap) < self.capacity:
             return 0.0
-        return self._heap[0].elapsed
+        return self._heap[0][0]
 
     def would_keep(self, elapsed: float) -> bool:
         """Cheap pre-check: would a query this slow be retained?
@@ -104,26 +52,18 @@ class SlowQueryLog:
         Callers use this to skip building the counter snapshot (and
         especially the span tree) for fast queries.
         """
-        return len(self._heap) < self.capacity or elapsed > self._heap[0].elapsed
+        return len(self._heap) < self.capacity or elapsed > self._heap[0][0]
 
-    def record(self, query: str, elapsed: float, *,
-               n_results: int = 0, timed_out: bool = False,
-               truncated: bool = False,
-               counters: dict | None = None,
-               phase_seconds: dict | None = None,
-               span_tree: list | None = None,
-               engine: str | None = None,
-               query_id: str | None = None) -> bool:
-        """Offer one finished query; returns True when it was retained."""
+    def offer(self, record) -> bool:
+        """Offer one finished query; returns True when it was retained.
+
+        Every offer counts toward :attr:`total_recorded`, retained or
+        not.
+        """
         self.total_recorded += 1
-        if not self.would_keep(elapsed):
+        if not self.would_keep(record.elapsed):
             return False
-        entry = SlowQueryEntry(
-            query, elapsed, self._seq, n_results=n_results,
-            timed_out=timed_out, truncated=truncated, counters=counters,
-            phase_seconds=phase_seconds, span_tree=span_tree,
-            engine=engine, query_id=query_id,
-        )
+        entry = (record.elapsed, self._seq, record)
         self._seq += 1
         if len(self._heap) < self.capacity:
             heapq.heappush(self._heap, entry)
@@ -131,9 +71,10 @@ class SlowQueryLog:
             heapq.heapreplace(self._heap, entry)
         return True
 
-    def entries(self) -> list[SlowQueryEntry]:
-        """Retained queries, slowest first."""
-        return sorted(self._heap, key=lambda e: (-e.elapsed, e.seq))
+    def entries(self) -> list:
+        """The retained records, slowest first."""
+        return [record for _, _, record in
+                sorted(self._heap, key=lambda e: (-e[0], e[1]))]
 
     def clear(self) -> None:
         self._heap.clear()
@@ -143,7 +84,8 @@ class SlowQueryLog:
         return {
             "capacity": self.capacity,
             "total_recorded": self.total_recorded,
-            "entries": [entry.to_dict() for entry in self.entries()],
+            "entries": [{**record.to_dict(), **record.detail()}
+                        for record in self.entries()],
         }
 
     def to_json(self, indent: int | None = 2) -> str:

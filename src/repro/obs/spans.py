@@ -29,6 +29,11 @@ from __future__ import annotations
 import json
 from time import perf_counter
 
+#: Span names tallied by :meth:`SpanStack.digest` are cut at this depth;
+#: deeper levels (per-wave, per-ring-step spans) carry per-operation
+#: fan-out that would make the digest as big as the tree.
+_DIGEST_MAX_DEPTH = 2
+
 
 class Span:
     """One named interval in the execution tree."""
@@ -153,6 +158,31 @@ class SpanStack:
         if not self.spans:
             return -1
         return max(span.depth for span in self.spans)
+
+    def digest(self) -> "dict | None":
+        """A bounded summary of the stack; ``None`` when it is empty.
+
+        A few scalars plus a name→count table of the levels down to
+        :data:`_DIGEST_MAX_DEPTH` — the shape of the execution, not
+        its contents, so a flight-ring record can carry it where the
+        tree itself (which belongs in the slow log) would break the
+        ring's bounded-memory promise.
+        """
+        if not self.spans:
+            return None
+        names: dict[str, int] = {}
+        root_seconds = 0.0
+        for span in self.spans:
+            if span.depth == 0:
+                root_seconds += span.duration
+            if span.depth <= _DIGEST_MAX_DEPTH:
+                names[span.name] = names.get(span.name, 0) + 1
+        return {
+            "spans": len(self.spans) + self.dropped,
+            "max_depth": self.max_depth(),
+            "root_seconds": root_seconds,
+            "by_name": dict(sorted(names.items())),
+        }
 
     def tree(self, root: Span | None = None) -> list[dict]:
         """The span forest as nested dicts (JSON-ready).

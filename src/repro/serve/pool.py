@@ -288,7 +288,7 @@ class ProcessQueryService(QueryService):
         lifecycle.mark("reply_deserialized")
         if shipped is not None and local.enabled:
             # Fold the worker's registry (counters, histograms, span
-            # subtrees) into the manager thread's local one; _finish
+            # subtrees) into the manager thread's local one; _settle
             # then merges it into the service registry as usual.
             local.merge(shipped)
         if status == "err":

@@ -41,9 +41,9 @@ from repro.core.engine import RingRPQEngine
 from repro.core.query import RPQ, as_query
 from repro.core.result import QueryResult, QueryStats
 from repro.errors import OverloadedError, ServiceClosedError
-from repro.obs.audit import audit_record
 from repro.obs.lifecycle import QueryLifecycle
 from repro.obs.metrics import Metrics, NULL_METRICS
+from repro.obs.record import QueryRecord
 from repro.serve.admission import AdmissionController
 from repro.serve.cache import ResultCache
 from repro.serve.keys import index_fingerprint, query_cache_key
@@ -82,9 +82,9 @@ class Ticket:
         self.limit = limit
         self.deadline = deadline
         self.submitted_at = time.monotonic()
-        # The per-request audit record: monotonic stage marks added as
-        # the query moves submit → queue → worker → settle; readable
-        # after settlement as ``ticket.lifecycle.stage_durations()``.
+        # Monotonic stage marks added as the query moves submit →
+        # queue → worker → settle; readable after settlement as
+        # ``ticket.lifecycle.stage_durations()``.
         self.lifecycle = QueryLifecycle(query_id, t=self.submitted_at)
         self.cancel_event = threading.Event()
         # Forwarding hook for executors whose cancel signal lives
@@ -177,14 +177,15 @@ class QueryService:
         the engine is built without one.
     query_log:
         A :class:`~repro.obs.querylog.QueryLogWriter`; every settled
-        query (including cache hits) appends one JSON line carrying
-        its ``query_id``, so log lines join the slow log and span
-        trees on the same id.  The writer is thread-safe; the service
-        writes outside its own lock.
+        query (cache hits and errors included) appends its
+        :class:`~repro.obs.record.QueryRecord` as one JSON line, so
+        log lines join the slow log and span trees on ``query_id``.
+        The writer is thread-safe; the service writes outside its own
+        lock.
     flight:
         A :class:`~repro.obs.flight.FlightRecorder`; every settled
-        query (cache hits and errors included) appends one bounded
-        audit record — lifecycle stage decomposition, outcome flags,
+        query (cache hits and errors included) appends the same
+        record's dict — lifecycle stage decomposition, outcome flags,
         backend, cache verdict, span digest — served live at
         ``/debug/flight`` and dumped into
         :class:`~repro.errors.WorkerCrashedError` context by the
@@ -305,31 +306,11 @@ class QueryService:
             # the correlation id never mutates a shared cache entry.
             cached.stats.query_id = query_id
             ticket = Ticket(query_id, rpq, timeout, limit, deadline)
-            ticket.lifecycle.mark("settled")
-            stages = ticket.lifecycle.stage_durations()
             if obs.enabled:
                 with self._lock:
                     obs.inc("serve.submitted")
                     obs.inc("serve.cache_hits")
-                    obs.set_gauge("serve.cache_size", len(self.cache))
-                    for stage, seconds in stages.items():
-                        obs.observe(f"serve.stage.{stage}", seconds,
-                                    exemplar=query_id)
-            if self.flight is not None:
-                self.flight.record(audit_record(
-                    ticket, cached.stats,
-                    n_results=len(cached.pairs),
-                    engine=f"serve/{self.engine.name}",
-                    cache_hit=True,
-                ))
-            if self.query_log is not None:
-                self.query_log.log(
-                    query_id, str(rpq), cached.stats,
-                    n_results=len(cached.pairs),
-                    engine=f"serve/{self.engine.name}",
-                    stages=stages,
-                )
-            ticket._settle(cached)
+            self._settle(ticket, cached)
             return ticket
 
         ticket = Ticket(query_id, rpq, timeout, limit, deadline)
@@ -536,11 +517,10 @@ class QueryService:
         obs.set_gauge("serve.cache.bytes", self.cache.nbytes)
 
     def _worker_loop(self, worker_id: int) -> None:
-        service_obs = self.metrics
-        enabled = service_obs.enabled
         # Per-worker private registry: Metrics is not thread-safe, so
         # each worker accumulates locally and merges under the lock.
-        local = Metrics(span_capacity=64) if enabled else NULL_METRICS
+        local = (Metrics(span_capacity=64) if self.metrics.enabled
+                 else NULL_METRICS)
         while True:
             item = self._queue.get()
             if item is _SHUTDOWN:
@@ -550,12 +530,8 @@ class QueryService:
             if ticket.cancelled:
                 # Cancelled while queued: settle without ever running.
                 self.admission.abandon()
-                stats = QueryStats(query_id=ticket.query_id)
-                stats.cancelled = True
-                self._finish(
-                    key, ticket, QueryResult(stats=stats),
-                    local, worker_id, waited=0.0, ran=False,
-                )
+                stats = QueryStats(query_id=ticket.query_id, cancelled=True)
+                self._settle(ticket, QueryResult(stats=stats), local=local)
                 continue
             self.admission.start()
             waited = time.monotonic() - ticket.submitted_at
@@ -566,30 +542,10 @@ class QueryService:
                 result, error = None, exc
             finally:
                 self.admission.finish()
-            if error is not None:
-                ticket.lifecycle.mark("settled")
-                with self._lock:
-                    self._tickets.pop(ticket.query_id, None)
-                    if enabled:
-                        service_obs.inc("serve.errors")
-                        self._refresh_gauges(service_obs)
-                if local.enabled:
-                    local.reset()
-                if self.flight is not None:
-                    # Errors are exactly what a black box must retain.
-                    self.flight.record(audit_record(
-                        ticket, QueryStats(query_id=ticket.query_id),
-                        n_results=0,
-                        engine=f"serve/{self.engine.name}",
-                        worker_id=worker_id,
-                        error=error,
-                    ))
-                ticket._settle(None, error)
-            else:
-                self._finish(
-                    key, ticket, result, local, worker_id,
-                    waited=waited, ran=True,
-                )
+            if error is None:
+                self.cache.store(key, ticket.limit, result)
+            self._settle(ticket, result, error, local=local,
+                         worker_id=worker_id, waited=waited)
 
     def _evaluate_ticket(self, ticket: Ticket, local, worker_id: int):
         ticket.lifecycle.mark("dispatched")
@@ -650,51 +606,72 @@ class QueryService:
             span.set(n_results=len(result.pairs))
         return result
 
-    def _finish(self, key, ticket, result, local, worker_id: int,
-                waited: float, ran: bool) -> None:
-        stats = result.stats
-        if ran:
-            self.cache.store(key, ticket.limit, result)
-        lifecycle = ticket.lifecycle
-        lifecycle.mark("settled")
-        stages = lifecycle.stage_durations()
-        busy = stages.get("execute", 0.0)
-        audit = None
-        if self.flight is not None:
-            # Built before the merge below absorbs (and the reset
-            # clears) the worker's span stack — the digest needs this
-            # query's spans, which only exist in ``local`` right now.
-            audit = audit_record(
-                ticket, stats,
-                n_results=len(result.pairs),
-                engine=f"serve/{self.engine.name}",
-                worker_id=worker_id if ran else None,
-                spans=local.spans if local.enabled else None,
-            )
-        obs = self.metrics
+    def _settle(self, ticket: Ticket, result: "QueryResult | None",
+                error: "BaseException | None" = None, *,
+                local=NULL_METRICS, worker_id: "int | None" = None,
+                waited: "float | None" = None) -> None:
+        """Settle one query: the only place a served query finishes.
+
+        Cache hits (from :meth:`submit`), queries cancelled while
+        queued, engine errors and ordinary completions of either tier
+        all end here, so each is described by one
+        :class:`~repro.obs.record.QueryRecord` and every sink — stage
+        histograms, slow log, flight ring, query log — sees the same
+        one.  ``local`` is the worker's private registry holding this
+        query's spans and phases; ``worker_id`` / ``waited`` are given
+        once the query reached an execution slot.
+        """
+        ticket.lifecycle.mark("settled")
+        if result is None:
+            stats, n_results = QueryStats(query_id=ticket.query_id), 0
+        else:
+            stats, n_results = result.stats, len(result.pairs)
         query_id = ticket.query_id
+        # Built before the merge below absorbs (and the reset clears)
+        # the worker's span stack: the digest, and the slow log's tree,
+        # need this query's spans, which only exist in ``local`` now.
+        record = QueryRecord(
+            str(ticket.query), stats, n_results,
+            f"serve/{self.engine.name}", lifecycle=ticket.lifecycle,
+            wait_seconds=waited, worker=worker_id, spans=local.spans,
+            error=error,
+        )
+        busy = record.stages.get("execute", 0.0)
+        # "Completed" is settled by a worker without an error; a cache
+        # hit or a failure has no engine time worth a slow-log slot.
+        completed = error is None and not stats.cached
+        obs = self.metrics
         with self._lock:
             self._tickets.pop(query_id, None)
-            if ran:
+            slow_log = self.slow_log
+            if completed and slow_log is not None:
+                if slow_log.would_keep(stats.elapsed):
+                    record.attach_detail(stats, local)
+                slow_log.offer(record)
+            if worker_id is not None:
                 self._worker_busy[worker_id] += busy
             if obs.enabled:
-                obs.inc("serve.completed")
-                if stats.cancelled:
-                    obs.inc("serve.cancelled")
-                if stats.timed_out:
-                    obs.inc("serve.timed_out")
-                obs.observe("serve.wait_seconds", waited)
-                obs.observe("serve.query_seconds", stats.elapsed,
-                            exemplar=query_id)
+                if error is not None:
+                    obs.inc("serve.errors")
+                elif completed:
+                    obs.inc("serve.completed")
+                    if stats.cancelled:
+                        obs.inc("serve.cancelled")
+                    if stats.timed_out:
+                        obs.inc("serve.timed_out")
+                    if waited is not None:
+                        obs.observe("serve.wait_seconds", waited)
+                    obs.observe("serve.query_seconds", stats.elapsed,
+                                exemplar=query_id)
                 # The latency decomposition: one observation per
                 # lifecycle stage, each exemplar-linked to this query,
                 # plus the end-to-end total the stages sum to.
-                for stage, seconds in stages.items():
+                for stage, seconds in record.stages.items():
                     obs.observe(f"serve.stage.{stage}", seconds,
                                 exemplar=query_id)
-                obs.observe("serve.e2e_seconds", lifecycle.total(),
+                obs.observe("serve.e2e_seconds", record.total_seconds,
                             exemplar=query_id)
-                if ran:
+                if worker_id is not None:
                     obs.inc(f"serve.worker.{worker_id}.queries")
                     # Busy seconds are cumulative work, i.e. a counter
                     # (float-valued, like node_cpu_seconds_total).
@@ -707,37 +684,19 @@ class QueryService:
                         f"serve.worker.{worker_id}.utilization",
                         min(1.0, self._worker_busy[worker_id] / uptime),
                     )
-                obs.merge(local)
-                self._refresh_gauges(obs)
-            if local.enabled:
-                local.reset()
-            slow_log = self.slow_log
-            if slow_log is not None and slow_log.would_keep(stats.elapsed):
-                slow_log.record(
-                    str(ticket.query), stats.elapsed,
-                    n_results=len(result.pairs),
-                    timed_out=stats.timed_out,
-                    truncated=stats.truncated,
-                    counters=stats.operation_counts(),
-                    engine=f"serve/{self.engine.name}",
-                    query_id=query_id,
-                )
-        if audit is not None:
-            # The recorder has its own lock; append off the service
-            # lock, but before settlement so a caller that just got
-            # its result always finds the record already in the ring.
-            self.flight.record(audit)
+                if local.enabled:
+                    # A worker settled it (a hit moves no load level).
+                    obs.merge(local)
+                    local.reset()
+                    self._refresh_gauges(obs)
+        # Both sinks have their own locks; feed them off the service
+        # lock, but before settlement so a caller that just got its
+        # result always finds the record already in the ring.
+        if self.flight is not None:
+            self.flight.record(record.to_dict())
         if self.query_log is not None:
-            # The writer has its own lock; keep the JSON encoding and
-            # file write off the service lock's critical section.
-            self.query_log.log(
-                query_id, str(ticket.query), stats,
-                n_results=len(result.pairs),
-                wait_seconds=waited if ran else None,
-                engine=f"serve/{self.engine.name}",
-                stages=stages,
-            )
-        ticket._settle(result)
+            self.query_log.log(record)
+        ticket._settle(result, error)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"QueryService(workers={self.workers}, "

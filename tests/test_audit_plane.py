@@ -121,8 +121,7 @@ def test_lifecycle_process_tier_mark_sequence():
         "pipe_to_worker", "execute", "reply_transfer", "settle",
     }
     assert sum(stages.values()) == pytest.approx(life.total())
-    dump = life.to_dict()
-    assert dump["marks"]["settled"] == pytest.approx(life.total())
+    assert life.marks[-1] == ("settled", pytest.approx(life.total()))
 
 
 # ----------------------------------------------------------------------
@@ -290,11 +289,11 @@ def test_thread_tier_stage_sum_matches_e2e_for_every_query(kg_index,
     assert all(0.0 <= w["utilization"] <= 1.0 for w in detail)
     assert service.stats()["flight"]["total_recorded"] == len(records)
 
-    # Query-log schema v2: every line carries the stage decomposition.
+    # Query-log schema v3: every line carries the stage decomposition.
     lines = read_query_log(log_path)
     assert len(lines) == len(WORKLOAD) + 1
     for line in lines:
-        assert line["schema_version"] == 2
+        assert line["schema_version"] == 3
         assert line["backend"]
         assert "cache_hit" in line
         assert line["stages"] and all(

@@ -7,8 +7,16 @@ import json
 import pytest
 
 from repro.core.engine import RingRPQEngine
+from repro.core.result import QueryStats
 from repro.obs.metrics import Metrics
+from repro.obs.record import QueryRecord
 from repro.obs.slowlog import SlowQueryLog
+
+
+def _record(query: str, elapsed: float, n_results: int = 0,
+            engine: str = "ring", **flags) -> QueryRecord:
+    stats = QueryStats(elapsed=elapsed, **flags)
+    return QueryRecord(query, stats, n_results, engine)
 
 
 class TestRetention:
@@ -19,7 +27,7 @@ class TestRetention:
     def test_keeps_k_worst(self):
         log = SlowQueryLog(capacity=3)
         for i, elapsed in enumerate([0.1, 0.5, 0.2, 0.9, 0.05, 0.3]):
-            log.record(f"q{i}", elapsed)
+            log.offer(_record(f"q{i}", elapsed))
         assert len(log) == 3
         assert log.total_recorded == 6
         assert [e.elapsed for e in log.entries()] == [0.9, 0.5, 0.3]
@@ -29,24 +37,24 @@ class TestRetention:
         log = SlowQueryLog(capacity=2)
         assert log.threshold == 0.0
         assert log.would_keep(0.0)
-        log.record("a", 0.2)
-        log.record("b", 0.4)
+        log.offer(_record("a", 0.2))
+        log.offer(_record("b", 0.4))
         assert log.threshold == 0.2
         assert log.would_keep(0.3)
         assert not log.would_keep(0.2)  # ties lose to the incumbent
-        assert not log.record("c", 0.1)
+        assert not log.offer(_record("c", 0.1))
         assert log.total_recorded == 3
         assert len(log) == 2
 
     def test_deterministic_tie_eviction(self):
         log = SlowQueryLog(capacity=1)
-        log.record("first", 0.5)
-        assert not log.record("second", 0.5)
+        log.offer(_record("first", 0.5))
+        assert not log.offer(_record("second", 0.5))
         assert log.entries()[0].query == "first"
 
     def test_clear(self):
         log = SlowQueryLog(capacity=2)
-        log.record("a", 1.0)
+        log.offer(_record("a", 1.0))
         log.clear()
         assert len(log) == 0 and log.total_recorded == 0
 
@@ -54,12 +62,12 @@ class TestRetention:
 class TestRendering:
     def _log(self) -> SlowQueryLog:
         log = SlowQueryLog(capacity=2)
-        log.record("(?x, p0+, ?y)", 0.75, n_results=12,
-                   counters={"storage_ops": 100},
-                   phase_seconds={"total": 0.75},
-                   span_tree=[{"name": "query", "children": []}],
-                   engine="ring")
-        log.record("(?x, p1, ?y)", 0.25, timed_out=True)
+        slow = _record("(?x, p0+, ?y)", 0.75, n_results=12)
+        slow.counters = {"storage_ops": 100}
+        slow.phase_seconds = {"total": 0.75}
+        slow.span_tree = [{"name": "query", "children": []}]
+        log.offer(slow)
+        log.offer(_record("(?x, p1, ?y)", 0.25, timed_out=True))
         return log
 
     def test_to_dict_and_json(self):
@@ -72,6 +80,8 @@ class TestRendering:
         assert first["span_tree"][0]["name"] == "query"
         assert first["engine"] == "ring"
         assert second["timed_out"] is True
+        # Flags appear only when set; no detail, no span tree.
+        assert "timed_out" not in first and "truncated" not in second
         assert "span_tree" not in second
 
     def test_format_table(self):

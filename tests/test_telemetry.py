@@ -23,6 +23,7 @@ from repro.core.result import QueryStats
 from repro.obs import (
     Metrics,
     QueryLogWriter,
+    QueryRecord,
     ResourceSampler,
     SamplingProfiler,
     TelemetryServer,
@@ -186,21 +187,18 @@ class TestSamplingProfiler:
 class TestQueryLog:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "queries.jsonl"
-        stats = QueryStats()
-        stats.elapsed = 0.5
-        writer = QueryLogWriter(path, clock=lambda: 123.0)
-        writer.log("q1", "(?x, p0, ?y)", stats, n_results=2,
-                   wait_seconds=0.01, engine="serve/ring")
-        timed = QueryStats()
-        timed.timed_out = True
-        timed.truncated = True
-        writer.log("q2", "(?x, p1, ?y)", timed)
+        stats = QueryStats(query_id="q1", elapsed=0.5)
+        writer = QueryLogWriter(path)
+        writer.log(QueryRecord("(?x, p0, ?y)", stats, 2, "serve/ring",
+                               ts=123.0, wait_seconds=0.01))
+        timed = QueryStats(query_id="q2", timed_out=True, truncated=True)
+        writer.log(QueryRecord("(?x, p1, ?y)", timed, 0, "serve/ring"))
         writer.close()
         records = read_query_log(path)
         assert [r["query_id"] for r in records] == ["q1", "q2"]
         first, second = records
         assert first == {
-            "schema_version": 2, "ts": 123.0, "query_id": "q1",
+            "schema_version": 3, "ts": 123.0, "query_id": "q1",
             "query": "(?x, p0, ?y)", "backend": "serve/ring",
             "cache_hit": False, "elapsed": 0.5, "n_results": 2,
             "wait_seconds": 0.01, "engine": "serve/ring",
@@ -208,20 +206,13 @@ class TestQueryLog:
         # Outcome flags appear only when set.
         assert second["timed_out"] and second["truncated"]
         assert "cached" not in second and "cancelled" not in second
-        assert second["schema_version"] == 2
+        assert second["schema_version"] == 3
         assert writer.written == 2
-
-    def test_counters_opt_in(self, tmp_path):
-        path = tmp_path / "queries.jsonl"
-        with QueryLogWriter(path, counters=True) as writer:
-            writer.log("q1", "(?x, p0, ?y)", QueryStats())
-        (record,) = read_query_log(path)
-        assert "counters" in record
 
     def test_file_object_target_not_closed(self, tmp_path):
         handle = open(tmp_path / "q.jsonl", "a", encoding="utf-8")
         writer = QueryLogWriter(handle)
-        writer.log("q1", "x", QueryStats())
+        writer.log(QueryRecord("x", QueryStats(query_id="q1"), 0, "ring"))
         writer.close()
         assert not handle.closed
         handle.close()
