@@ -173,6 +173,49 @@ def test_fast_paths_beat_the_general_path(bench_index):
     assert on <= off / 2, f"fast paths {on:.4f}s vs general {off:.4f}s"
 
 
+#: Both-variable closures that reach phase 2 with many anchors: the
+#: ``p/q*``, ``p+`` and ``p*`` shapes of Table 1.
+PHASE2_QUERIES = [
+    "(?x, p9/p0*, ?y)",
+    "(?x, p1/p0*, ?y)",
+    "(?x, p3/p2*, ?y)",
+    "(?x, p0+, ?y)",
+    "(?x, p2+, ?y)",
+    "(?x, p1*, ?y)",
+    "(?x, p4*, ?y)",
+]
+
+
+def test_phase2_arrays_beat_the_reference(bench_index):
+    """Phase 2 on array-held marks, gated: over both-variable closures
+    ``batch=True`` must take at most a third of the ``batch=False``
+    reference's time, for the same pairs and the same counters.
+
+    With the marks in per-anchor dicts, walked one round-robin round
+    at a time, the batched runner was only 1.20-1.26x the reference on
+    this set (min of 5, two runs); with one array descent per wave it
+    is 5.7-6.5x.
+    """
+    from repro.core.engine import RingRPQEngine
+
+    batched = RingRPQEngine(bench_index, batch=True)
+    reference = RingRPQEngine(bench_index, batch=False)
+
+    def run(engine):
+        return [
+            (result.pairs, result.stats.operation_counts())
+            for result in (engine.evaluate(query, timeout=10.0)
+                           for query in PHASE2_QUERIES)
+        ]
+
+    assert run(batched) == run(reference)
+    on = _best_of(lambda: run(batched), repeats=5)
+    off = _best_of(lambda: run(reference), repeats=5)
+    print(f"\nphase 2 reference / batched: {off / on:.2f}x "
+          f"(batched {on * 1e3:.1f} ms, reference {off * 1e3:.1f} ms)")
+    assert on <= off / 3, f"batched {on:.4f}s vs reference {off:.4f}s"
+
+
 def test_wavelet_descend_batch(benchmark, matrix):
     """Level-synchronous batched descent over many ranges at once;
     asserts it reports exactly what per-range ``range_distinct`` does."""

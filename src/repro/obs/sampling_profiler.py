@@ -38,7 +38,7 @@ PHASE_BY_FUNCTION = {
     "_lp_wave": "predicates_from_objects",
     "_expand_entry_scalar": "predicates_from_objects",
     # §4.2 subjects-from-predicates (L_s descents / backward steps)
-    "_collect_round": "subjects_from_predicates",
+    "_ls_wave": "subjects_from_predicates",
     "_collect_scalar": "subjects_from_predicates",
     "backward_step": "subjects_from_predicates",
     "backward_step_many": "subjects_from_predicates",

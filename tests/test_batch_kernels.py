@@ -25,10 +25,13 @@ Five layers of evidence:
   deadline or a cancel stops a large one in the middle) and leave no
   mirror on the ring.
 
-The differential runs twice: once with production thresholds and once
-with every batched code path forced on (merged L_p waves from one
-entry, merged L_s rounds from width two), so narrow frontiers cannot
-hide the merged paths from the test.
+The differential runs with production thresholds, with merged L_p
+waves forced on from one entry, and — for the array kernel every
+multi-anchor run takes — at phase-2 chunk widths from one anchor to
+1 024, with pruning on and off and with forbidden nodes, so narrow
+frontiers cannot hide the merged paths from the test.  A constructed
+graph pins the one subtle step of that kernel: the earlier tasks of
+the same anchor in the same wave.
 """
 
 from __future__ import annotations
@@ -40,8 +43,10 @@ from hypothesis import strategies as st
 
 from repro._util.bits import rank1_many_words
 from repro.core import batchrun
+from repro.core import engine as engine_module
 from repro.core.engine import RingRPQEngine
 from repro.graph.generators import random_graph
+from repro.graph.model import Graph
 from repro.ring.builder import RingIndex
 from repro.ring.dictionary import Dictionary
 from repro.ring.ring import Ring
@@ -439,9 +444,10 @@ def test_engine_differential_default_thresholds(kg_index):
 
 
 def test_engine_differential_forced_batch_paths(kg_index, monkeypatch):
-    """Same differential with every merged code path forced on."""
+    """Same differential with every merged code path forced on: merged
+    L_p waves from one entry in single-anchor runs (multi-anchor runs
+    take the array kernel at every width anyway)."""
     monkeypatch.setattr(batchrun, "_LP_WAVE_MIN", 1)
-    monkeypatch.setattr(batchrun, "_LS_ROUND_MIN", 2)
     _assert_engines_agree(kg_index, QUERIES + WIDE_QUERIES)
 
 
@@ -458,8 +464,8 @@ def test_wide_automaton_never_enters_a_merged_wave(kg_index, monkeypatch):
     guards is ``np.fromiter(masks, np.int64)`` in ``_lp_wave``
     overflowing on a 72-bit state set."""
     monkeypatch.setattr(batchrun, "_LP_WAVE_MIN", 1)
-    monkeypatch.setattr(
-        batchrun.BatchedBackwardRun, "_lp_wave", _refuse("_lp_wave"))
+    for name in ("_lp_wave", "_ls_wave"):
+        monkeypatch.setattr(batchrun.BatchedBackwardRun, name, _refuse(name))
     result = kg_index.evaluate(WIDE_QUERIES[0])
     assert result.stats.nfa_states == 72 and result.stats.subqueries > 8
     assert result.pairs and kg_index.evaluate(WIDE_QUERIES[1]).pairs
@@ -475,8 +481,7 @@ def test_reference_engine_never_merges(kg_index, monkeypatch):
     """``batch=False`` is the reference because it cannot reach the
     merged kernels, however low the widths are set."""
     monkeypatch.setattr(batchrun, "_LP_WAVE_MIN", 1)
-    monkeypatch.setattr(batchrun, "_LS_ROUND_MIN", 2)
-    for name in ("_lp_wave", "_collect_round"):
+    for name in ("_lp_wave", "_ls_wave"):
         monkeypatch.setattr(batchrun.BatchedBackwardRun, name, _refuse(name))
     reference = RingRPQEngine(kg_index, batch=False)
     for query in QUERIES:
@@ -508,6 +513,160 @@ def test_engine_differential_no_prune(kg_index):
             assert getattr(rs.stats, name) == getattr(rb.stats, name), (
                 query, name
             )
+
+
+# ----------------------------------------------------------------------
+# The array kernel of multi-anchor runs
+# ----------------------------------------------------------------------
+
+#: Phase-2 chunk widths: one anchor, a few, a width that leaves a short
+#: last chunk, and the production width.
+CHUNK_WIDTHS = (1, 2, 3, 33, 1024)
+
+#: Nodes removed from every path (the §6 extension); a forbidden node
+#: enters each anchor's ``D`` table at the full state set.
+FORBIDDEN = ["n1", "n4", "n9", "n16", "n25"]
+
+
+@pytest.mark.parametrize("width", CHUNK_WIDTHS)
+def test_array_kernel_differential(kg_index, monkeypatch, width):
+    """Every multi-anchor run takes the array kernel, at every chunk
+    width: pairs and every counter equal the one-anchor-at-a-time
+    reference, pruned or not, with and without forbidden nodes."""
+    calls = []
+    ls_wave = batchrun.BatchedBackwardRun._ls_wave
+
+    def counted(self, *args):
+        calls.append(len(args[0]))
+        return ls_wave(self, *args)
+
+    monkeypatch.setattr(batchrun.BatchedBackwardRun, "_ls_wave", counted)
+    monkeypatch.setattr(engine_module, "_ANCHOR_BATCH", width)
+    for prune in (True, False):
+        scalar = RingRPQEngine(kg_index, batch=False, prune=prune)
+        batched = RingRPQEngine(kg_index, batch=True, prune=prune)
+        for forbidden in (None, FORBIDDEN):
+            for query in QUERIES:
+                rs = scalar.evaluate(query, timeout=60.0,
+                                     forbidden_nodes=forbidden)
+                rb = batched.evaluate(query, timeout=60.0,
+                                      forbidden_nodes=forbidden)
+                where = (query, prune, forbidden)
+                assert not rs.stats.timed_out and not rb.stats.timed_out
+                assert rb.pairs == rs.pairs, where
+                assert not _counter_diffs(rs, rb), (
+                    where, _counter_diffs(rs, rb))
+    assert calls and max(calls) > 1
+
+
+def test_array_kernel_earlier_tasks_of_one_anchor():
+    """One anchor, one wave, two tasks on the same node.
+
+    From ``n3``, ``p0/p2|p1/p2`` reaches ``n2`` twice in its first
+    wave, with disjoint states, so ``n2`` enters the second wave twice
+    and both copies step through ``p2`` onto the same ``L_s`` range.
+    The first covers the node above the sources ``n0``, ``n1`` (ids 0
+    and 1: siblings) and marks it; the second must be pruned there.
+    ``(p0|p1)/p2`` reaches ``n2`` twice with the same states, and the
+    second visit must be pruned at the leaf.  Both need the exclusive
+    prefix-OR over the anchor's earlier tasks: a plain lookup of the
+    stored marks misses a mark written in the same wave.
+    """
+    index = RingIndex.from_graph(Graph([
+        ("n3", "p0", "n2"), ("n3", "p1", "n2"),
+        ("n2", "p2", "n0"), ("n2", "p2", "n1"),
+    ]))
+    assert [index.dictionary.node_id(f"n{i}") for i in range(4)] \
+        == [0, 1, 2, 3]
+    for query in ("(?x, p0/p2|p1/p2, ?y)", "(?x, (p0|p1)/p2, ?y)"):
+        for prune in (True, False):
+            for planner in (True, False):
+                rs, rb = (
+                    RingRPQEngine(index, batch=batch, prune=prune,
+                                  use_planner=planner).evaluate(query)
+                    for batch in (False, True)
+                )
+                where = (query, prune, planner)
+                assert rb.pairs == rs.pairs and rs.pairs, where
+                assert not _counter_diffs(rs, rb), (
+                    where, _counter_diffs(rs, rb))
+
+
+#: A ``p/q*`` both-variable query whose phase 2 runs several waves on
+#: the array kernel.
+PHASE2_QUERY = "(?x, p2/p0*, ?y)"
+
+
+def _stop_inside_phase2(monkeypatch, stop):
+    """Call ``stop(run)`` after the first merged L_s descent, and let
+    every tick consult the budget."""
+    monkeypatch.setattr(engine_module, "_TICK_EVERY", 1)
+    ls_wave = batchrun.BatchedBackwardRun._ls_wave
+
+    def wrapped(self, *args):
+        next_wave = ls_wave(self, *args)
+        stop(self)
+        return next_wave
+
+    monkeypatch.setattr(batchrun.BatchedBackwardRun, "_ls_wave", wrapped)
+
+
+def test_phase2_timeout_leaves_the_buckets_balanced(kg_index, monkeypatch):
+    from tests.test_obs import _assert_bucket_invariants
+
+    full = RingRPQEngine(kg_index).evaluate(PHASE2_QUERY)
+
+    def expire(run):
+        run.budget.deadline = run.budget.start
+
+    _stop_inside_phase2(monkeypatch, expire)
+    result = RingRPQEngine(kg_index).evaluate(PHASE2_QUERY, timeout=60.0)
+    assert result.stats.timed_out and result.stats.ls_descents
+    assert result.pairs < full.pairs
+    _assert_bucket_invariants(result.stats, PHASE2_QUERY)
+
+
+def test_phase2_cancel_returns_a_flagged_subset(kg_index, monkeypatch):
+    import threading
+
+    full = RingRPQEngine(kg_index).evaluate(PHASE2_QUERY)
+    token = threading.Event()
+    _stop_inside_phase2(monkeypatch, lambda run: token.set())
+    result = RingRPQEngine(kg_index).evaluate(PHASE2_QUERY, cancel=token)
+    assert result.stats.cancelled
+    assert result.pairs < full.pairs
+
+
+def test_phase2_limit_cuts_inside_a_descent(kg_index):
+    """A cap is cut at the leaf that fills it, in the middle of a
+    merged descent: exactly ``limit`` pairs, flagged."""
+    engine = RingRPQEngine(kg_index)
+    full = engine.evaluate(PHASE2_QUERY).pairs
+    n = len(full)
+    assert n > 20
+    for limit in (1, 2, 7, n // 3, n // 2, n - 1):
+        result = engine.evaluate(PHASE2_QUERY, limit=limit)
+        assert result.stats.truncated, limit
+        assert len(result.pairs) == limit and result.pairs <= full, limit
+
+
+def test_phase2_emits_match_the_reference(kg_index):
+    """Traced, the array kernel emits the reference's report events."""
+    from collections import Counter
+
+    from repro.obs import Metrics
+
+    def emits(batch):
+        metrics = Metrics(trace_capacity=1_000_000)
+        RingRPQEngine(kg_index, batch=batch).evaluate(
+            PHASE2_QUERY, metrics=metrics)
+        return Counter(
+            (event.data["subject"], event.data["states"])
+            for event in metrics.trace_events() if event.kind == "emit"
+        )
+
+    want = emits(False)
+    assert want and emits(True) == want
 
 
 # ----------------------------------------------------------------------
