@@ -1,20 +1,20 @@
-"""Live-telemetry scenario: boot the full plane and scrape it.
+"""Live-telemetry scenario: boot the front door and scrape it.
 
 Starts a :class:`~repro.serve.QueryService` over a synthetic knowledge
-graph with every telemetry component attached — shared metrics
-registry, slow log, JSON-lines query log, resource sampler, sampling
-profiler, flight recorder and the background HTTP endpoint — then
-drives a workload while scraping ``/metrics``, ``/healthz``,
-``/debug/vars`` and ``/debug/flight`` over real HTTP exactly as a
-Prometheus agent would.  Asserts on everything it scrapes — including
-that the flight ring, the query log and the slow log hold the same
-record of a query (one record, three sinks) — so CI can run it as the
-serving-plane smoke test, and finally writes the profiler's collapsed
-stacks for flamegraph tooling plus the flight ring's dump.
+graph with every telemetry sink attached — shared metrics registry,
+slow log, JSON-lines query log and flight recorder — behind the HTTP
+front door, then drives a workload while scraping ``/healthz``,
+``/metrics``, ``/debug/vars``, ``/debug/space`` and ``/debug/flight``
+over the port the queries use, exactly as a Prometheus agent would.
+Asserts on everything it scrapes — including that the flight ring,
+the query log and the slow log hold the same record of a query (one
+record, three sinks) — so CI can run it as the serving-plane smoke
+test, and leaves the query log and the flight ring's dump next to
+``--out``.
 
 Run with::
 
-    python examples/live_telemetry.py [--queries N] [--out stacks.txt]
+    python examples/live_telemetry.py [--queries N] [--out live-telemetry]
 """
 
 from __future__ import annotations
@@ -32,13 +32,10 @@ from repro.obs import (
     FlightRecorder,
     Metrics,
     QueryLogWriter,
-    ResourceSampler,
-    SamplingProfiler,
-    TelemetryServer,
     read_query_log,
 )
 from repro.obs.slowlog import SlowQueryLog
-from repro.serve import QueryService
+from repro.serve import HTTPQueryServer, QueryService
 
 
 def scrape(url: str) -> str:
@@ -54,8 +51,8 @@ def main() -> None:
     parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None,
-                        help="collapsed-stacks output path "
-                             "(default: <tmp>/live_telemetry.collapsed)")
+                        help="path stem of the query log and flight dump "
+                             "(default: <tmp>/live_telemetry)")
     parser.add_argument("--flight", type=int, default=48,
                         help="flight-recorder capacity (last N settled "
                              "queries' audit records)")
@@ -71,7 +68,7 @@ def main() -> None:
           f"workload of {len(queries)} queries")
 
     out = Path(args.out) if args.out else (
-        Path(tempfile.gettempdir()) / "live_telemetry.collapsed"
+        Path(tempfile.gettempdir()) / "live_telemetry"
     )
     log_path = out.with_suffix(".queries.jsonl")
     log_path.unlink(missing_ok=True)
@@ -79,24 +76,15 @@ def main() -> None:
     metrics = Metrics(span_capacity=2048)
     slow_log = SlowQueryLog(capacity=8)
     query_log = QueryLogWriter(log_path)
-    profiler = SamplingProfiler()
     flight = FlightRecorder(args.flight)
     service = QueryService(
         index, workers=args.workers, cache_size=128, metrics=metrics,
         slow_log=slow_log, query_log=query_log, flight=flight,
     )
-    sampler = ResourceSampler(
-        metrics=metrics, lock=service.obs_lock, interval=0.02,
-        profiler=profiler,
-    )
-    httpd = TelemetryServer(
-        metrics, lock=service.obs_lock, service=service,
-        sampler=sampler, profiler=profiler, slow_log=slow_log,
-        flight=flight,
-    )
+    server = HTTPQueryServer(service)
 
-    with service, sampler, httpd:
-        print(f"telemetry live at {httpd.url}")
+    with service, server:
+        print(f"queries and telemetry live at {server.url}")
 
         results = service.run(queries, timeout=5.0, limit=50_000)
         answers = sum(len(r) for r in results)
@@ -104,14 +92,15 @@ def main() -> None:
               f"{metrics.count('serve.cache_hits'):.0f} cache hits")
 
         # -- /healthz: the service reports itself alive and drained.
-        health = json.loads(scrape(httpd.url + "/healthz"))
+        health = json.loads(scrape(server.url + "/healthz"))
         assert health["status"] == "ok", health
         assert health["workers"] == args.workers
-        print(f"/healthz ok: uptime {health['uptime_seconds']:.2f}s")
+        print(f"/healthz ok: uptime "
+              f"{health['service_uptime_seconds']:.2f}s")
 
-        # -- /metrics: the Prometheus scrape a collector would take.
-        sampler.sample_once()
-        exposition = scrape(httpd.url + "/metrics")
+        # -- /metrics: the Prometheus scrape a collector would take;
+        # the process vitals are read by this very request.
+        exposition = scrape(server.url + "/metrics")
         for needle in (
             "repro_serve_submitted_total",
             "repro_serve_query_seconds_bucket",
@@ -131,19 +120,28 @@ def main() -> None:
         print(f"/metrics ok: {len(exposition.splitlines())} lines, "
               f"{submitted}")
 
-        # -- /debug/vars: history, not just instantaneous points.
-        snapshot = json.loads(scrape(httpd.url + "/debug/vars"))
-        rss_series = snapshot["timeseries"]["series"]["process.rss_bytes"]
-        assert rss_series["count"] >= 1 and rss_series["max"] > 0
-        print(f"/debug/vars ok: {len(snapshot['timeseries']['series'])} "
-              f"time series, peak RSS {rss_series['max'] / 1e6:.1f} MB, "
-              f"profiler samples {snapshot['profile']['samples']}")
+        # -- /debug/vars: the whole registry as JSON, vitals included.
+        snapshot = json.loads(scrape(server.url + "/debug/vars"))
+        gauges = snapshot["gauges"]
+        rss = gauges["process.rss_bytes"]
+        assert 0 < rss <= gauges["process.peak_rss_bytes"], gauges
+        assert snapshot["counters"]["serve.submitted"] == len(queries)
+        print(f"/debug/vars ok: {len(snapshot['counters'])} counters, "
+              f"{len(snapshot['histograms'])} histograms, "
+              f"RSS {rss / 1e6:.1f} MB")
+
+        # -- /debug/space: the space audit, taken now.
+        space = json.loads(scrape(server.url + "/debug/space"))
+        assert space["tree"]["name"] == "service", space["tree"]["name"]
+        assert space["n_triples"] == len(index.ring)
+        print(f"/debug/space ok: {space['tree']['bytes']:,} bytes "
+              f"audited over {space['n_triples']} triples")
 
         # -- /debug/flight: the audit ring over real HTTP.  Every
         # settled query left an audit record; the ring keeps the last
         # N of them, each decomposing its latency into stages that
         # telescope back to the end-to-end total.
-        flight_dump = json.loads(scrape(httpd.url + "/debug/flight"))
+        flight_dump = json.loads(scrape(server.url + "/debug/flight"))
         assert flight_dump["capacity"] == args.flight, flight_dump
         assert flight_dump["total_recorded"] == len(queries)
         ring = flight_dump["records"]
@@ -183,9 +181,8 @@ def main() -> None:
               f"({worst['elapsed'] * 1e3:.2f} ms) is the same record in "
               "the slow log, with counters, phases and span tree")
 
-    profiler.write_collapsed(out)
-    print(f"collapsed stacks ({len(profiler.stack_counts())} distinct) "
-          f"written to {out}")
+    query_log.close()
+    print(f"query log at {log_path}")
     print("live telemetry smoke: all checks passed")
 
 

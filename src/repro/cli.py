@@ -257,14 +257,19 @@ def cmd_space(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_service(args: argparse.Namespace, metrics=None, slow_log=None,
-                   query_log=None):
+def _build_service(args: argparse.Namespace, metrics=None, slow_log=None):
     from repro.obs.flight import FlightRecorder
+    from repro.obs.querylog import QueryLogWriter
     from repro.serve import ProcessQueryService, QueryService
 
-    index = _load_index(args.graph, args.symmetric)
     backend = getattr(args, "backend", "ring")
     pool = getattr(args, "pool", "threads")
+    if pool == "processes" and backend != "ring":
+        raise SystemExit(
+            "--pool processes serves the ring engine only; "
+            f"--backend {backend} needs --pool threads"
+        )
+    index = _load_index(args.graph, args.symmetric)
     flight_capacity = getattr(args, "flight", 256)
     common = dict(
         workers=args.workers,
@@ -274,16 +279,12 @@ def _build_service(args: argparse.Namespace, metrics=None, slow_log=None,
         default_limit=args.limit,
         metrics=metrics,
         slow_log=slow_log,
-        query_log=query_log,
+        query_log=(QueryLogWriter(args.query_log)
+                   if args.query_log else None),
         flight=(FlightRecorder(flight_capacity)
                 if flight_capacity > 0 else None),
     )
     if pool == "processes":
-        if backend != "ring":
-            raise SystemExit(
-                "--pool processes serves the ring engine only; "
-                f"--backend {backend} needs --pool threads"
-            )
         return ProcessQueryService(
             index,
             start_method=getattr(args, "start_method", None),
@@ -297,102 +298,34 @@ def _build_service(args: argparse.Namespace, metrics=None, slow_log=None,
     return QueryService(index, engine=engine, **common)
 
 
-class _TelemetryPlane:
-    """The live telemetry stack around one service: sampler, profiler,
-    HTTP endpoint and JSON query log, started/stopped together.
-
-    Built by ``repro serve``/``query-batch`` from ``--metrics-port``,
-    ``--query-log``, ``--sample-interval`` and ``--profile-out``; every
-    component is optional and ``None`` when its flag is absent.
-    """
-
-    def __init__(self, args: argparse.Namespace, metrics, service,
-                 slow_log=None):
-        from repro.obs.querylog import QueryLogWriter
-
-        self.query_log = (
-            QueryLogWriter(args.query_log)
-            if getattr(args, "query_log", None) else None
-        )
-        self.profile_out = getattr(args, "profile_out", None)
-        self.sampler = None
-        self.profiler = None
-        self.httpd = None
-        want_profiler = (
-            getattr(args, "metrics_port", None) is not None
-            or self.profile_out
-        )
-        if want_profiler:
-            from repro.obs.sampler import ResourceSampler
-            from repro.obs.sampling_profiler import SamplingProfiler
-
-            self.profiler = SamplingProfiler()
-            self.sampler = ResourceSampler(
-                metrics=metrics,
-                lock=service.obs_lock,
-                interval=args.sample_interval,
-                profiler=self.profiler,
-            )
-        if getattr(args, "metrics_port", None) is not None:
-            from repro.obs.httpd import TelemetryServer
-
-            self.httpd = TelemetryServer(
-                metrics,
-                lock=service.obs_lock,
-                service=service,
-                sampler=self.sampler,
-                profiler=self.profiler,
-                slow_log=slow_log,
-                flight=getattr(service, "flight", None),
-                port=args.metrics_port,
-            )
-
-    def start(self) -> "_TelemetryPlane":
-        if self.sampler is not None:
-            self.sampler.start()
-        if self.httpd is not None:
-            self.httpd.start()
-            print(f"# telemetry: {self.httpd.url}/metrics  "
-                  f"{self.httpd.url}/healthz  "
-                  f"{self.httpd.url}/debug/vars", file=sys.stderr)
-        return self
-
-    def stop(self) -> None:
-        if self.sampler is not None:
-            self.sampler.stop()
-        if self.httpd is not None:
-            self.httpd.stop()
-        if self.profiler is not None and self.profile_out:
-            self.profiler.write_collapsed(self.profile_out)
-            print(f"# collapsed stacks written to {self.profile_out}",
-                  file=sys.stderr)
-        if self.query_log is not None:
-            self.query_log.close()
+def _close_service(service) -> None:
+    """Drain and stop ``service``, then close the query log it wrote."""
+    service.close()
+    if service.query_log is not None:
+        service.query_log.close()
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Interactive loop: one query per stdin line, results to stdout.
 
     Commands: ``.stats`` prints service statistics, ``.metrics`` the
-    Prometheus exposition, ``.slow`` the slow-query log, ``.quit``
-    exits (EOF also exits).  With ``--metrics-port`` the same telemetry
-    is additionally served live over HTTP (``/metrics``, ``/healthz``,
-    ``/debug/vars``, ``/debug/profile``) while the loop runs; with
-    ``--http-port`` the query API itself is served over HTTP
+    Prometheus exposition, ``.vars`` the ``/debug/vars`` snapshot,
+    ``.slow`` the slow-query log, ``.space`` the space audit, ``.quit``
+    exits (EOF also exits).  With ``--http-port`` the query API
     (``POST /query`` streaming chunked NDJSON pages — see
-    ``docs/http.md``) alongside the REPL.
+    ``docs/http.md``) and the same telemetry (``/metrics``,
+    ``/healthz``, ``/debug/vars``, ``/debug/flight``, ``/debug/space``)
+    are served over HTTP on that one port alongside the REPL.
     """
-    from repro.obs.export import prometheus_text
+    import json
+
+    from repro.obs.export import debug_vars, scrape_metrics
     from repro.obs.metrics import Metrics
     from repro.obs.slowlog import SlowQueryLog
 
     metrics = Metrics(span_capacity=args.span_capacity)
     slow_log = SlowQueryLog(capacity=args.slow_log)
     service = _build_service(args, metrics=metrics, slow_log=slow_log)
-    plane = _TelemetryPlane(args, metrics, service, slow_log=slow_log)
-    # The plane owns the query-log writer; hand it to the service.
-    service.query_log = plane.query_log
-    plane.start()
     front_door = None
     if getattr(args, "http_port", None) is not None:
         from repro.serve.http import HTTPQueryServer
@@ -403,8 +336,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
         front_door = HTTPQueryServer(
             service, port=args.http_port, **kwargs
         ).start()
-        print(f"# query API: {front_door.url}/query (NDJSON streaming), "
-              f"{front_door.url}/healthz", file=sys.stderr)
+        url = front_door.url
+        print(f"# query API: {url}/query (NDJSON streaming), "
+              f"{url}/healthz; telemetry: {url}/metrics {url}/debug/vars",
+              file=sys.stderr)
     print(
         f"# serving {args.graph} with {args.workers} worker(s); "
         "one query per line, .quit to exit",
@@ -418,12 +353,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
             if line in (".quit", ".exit"):
                 break
             if line == ".stats":
-                import json
-
                 print(json.dumps(service.stats(), indent=2))
                 continue
             if line == ".metrics":
-                print(prometheus_text(metrics), end="")
+                print(scrape_metrics(service), end="")
                 continue
             if line == ".slow":
                 print(slow_log.format_table())
@@ -436,12 +369,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 print(tree.format_tree(len(service.index.ring)))
                 continue
             if line == ".vars":
-                import json
-
-                if plane.httpd is not None:
-                    print(json.dumps(plane.httpd.render_vars(), indent=2))
-                else:
-                    print(json.dumps(metrics.snapshot(), indent=2))
+                print(json.dumps(debug_vars(service), indent=2))
                 continue
             try:
                 result = service.evaluate(line)
@@ -471,8 +399,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         # would map late submissions to 503s rather than settling them.
         if front_door is not None:
             front_door.stop()
-        service.close()
-        plane.stop()
+        _close_service(service)
     return 0
 
 
@@ -483,19 +410,14 @@ def cmd_query_batch(args: argparse.Namespace) -> int:
     from repro.serve import drain_queries, load_query_file
 
     queries = load_query_file(args.queries)
-    metrics = Metrics()
-    service = _build_service(args, metrics=metrics)
-    plane = _TelemetryPlane(args, metrics, service)
-    service.query_log = plane.query_log
-    plane.start()
+    service = _build_service(args, metrics=Metrics())
     try:
         summary = drain_queries(
             service, queries, rounds=args.rounds,
             timeout=args.timeout, limit=args.limit,
         )
     finally:
-        service.close()
-        plane.stop()
+        _close_service(service)
     if not args.verbose:
         summary = {k: v for k, v in summary.items() if k != "per_query"}
     print(json.dumps(summary, indent=2))
@@ -644,11 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--limit", type=int, default=1_000_000)
         sp.add_argument("--symmetric", nargs="*", default=[],
                         help="predicates stored bidirectionally")
-        sp.add_argument("--metrics-port", type=int, default=None,
-                        metavar="PORT",
-                        help="expose /metrics, /healthz, /debug/vars, "
-                             "/debug/profile and /debug/flight over HTTP "
-                             "on this port (0 picks an ephemeral port)")
         sp.add_argument("--flight", type=int, default=256, metavar="N",
                         help="flight-recorder capacity: keep the last N "
                              "settled queries' audit records, served at "
@@ -657,19 +574,12 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--query-log", metavar="OUT.jsonl", default=None,
                         help="append one JSON line per settled query "
                              "(query_id-correlated) to this file")
-        sp.add_argument("--sample-interval", type=float, default=0.5,
-                        help="resource-sampler / profiler tick seconds")
-        sp.add_argument("--profile-out", metavar="OUT.collapsed",
-                        default=None,
-                        help="write sampling-profiler collapsed stacks "
-                             "(flamegraph format) on exit; also enables "
-                             "the sampler without --metrics-port")
 
     v = sub.add_parser(
         "serve",
         help="interactive query loop over the thread-pool service "
-             "(.stats/.metrics/.slow/.vars/.quit commands); "
-             "--metrics-port adds the live HTTP telemetry plane",
+             "(.stats/.metrics/.vars/.slow/.space/.quit commands); "
+             "--http-port serves queries and telemetry on one port",
     )
     v.add_argument("graph", help="triple file (s p o per line)")
     _serve_common(v)
@@ -679,11 +589,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="spans retained in the service registry "
                         "(0 disables span collection)")
     v.add_argument("--http-port", type=int, default=None, metavar="PORT",
-                   help="serve the query API over HTTP on this port "
-                        "(POST /query streams NDJSON pages; "
-                        "/submit, /status, /result, /cancel, /healthz, "
-                        "/debug/flight; 0 picks an ephemeral port); "
-                        "the REPL keeps running alongside")
+                   help="serve the query API and the telemetry over "
+                        "HTTP on this one port (POST /query streams "
+                        "NDJSON pages; /submit, /status, /result, "
+                        "/cancel, /healthz, /metrics, /debug/vars, "
+                        "/debug/flight, /debug/space; 0 picks an "
+                        "ephemeral port); the REPL keeps running "
+                        "alongside")
     v.add_argument("--http-page-size", type=int, default=None,
                    metavar="N",
                    help="default NDJSON page size for streamed results")

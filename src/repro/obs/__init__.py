@@ -23,21 +23,11 @@ this subpackage makes that accounting first-class:
 * :mod:`repro.obs.slowlog` — :class:`SlowQueryLog`, the records of the
   K worst queries with their counter snapshots and span trees;
 * :mod:`repro.obs.export` — :func:`prometheus_text`, the Prometheus
-  text-format exporter over any :class:`Metrics`;
-* :mod:`repro.obs.timeseries` — :class:`TimeSeries`, fixed-capacity
-  ring-buffer history with min/max/last/percentile readout;
-* :mod:`repro.obs.sampler` — :class:`ResourceSampler`, a background
-  thread recording process RSS/CPU/GC/threads and the ``serve.*``
-  gauges into time series (and ``process.*`` gauges for export);
-* :mod:`repro.obs.sampling_profiler` — :class:`SamplingProfiler`, a
-  signal-free statistical profiler over ``sys._current_frames()``
-  with flamegraph collapsed-stack export and §4 phase attribution;
+  text-format exporter over any :class:`Metrics`, and the pages the
+  HTTP front door serves over a live service (``/metrics``,
+  ``/debug/vars``), process vitals included, read at scrape time;
 * :mod:`repro.obs.querylog` — :class:`QueryLogWriter`, every settled
   query's record as one JSON line keyed by ``query_id``;
-* :mod:`repro.obs.httpd` — :class:`TelemetryServer`, the stdlib-only
-  background HTTP server exposing ``/metrics``, ``/healthz``,
-  ``/debug/vars``, ``/debug/profile`` and ``/debug/flight`` while the
-  service runs;
 * :mod:`repro.obs.lifecycle` — :class:`QueryLifecycle`, the per-request
   audit plane's ordered monotonic stage marks (submit → queue → worker
   → settle) whose telescoping differences are the ``serve.stage.*``
@@ -68,14 +58,11 @@ from repro.obs.instrument import (
 from repro.obs.export import label_key, prometheus_text
 from repro.obs.flight import FlightRecorder
 from repro.obs.histogram import LogHistogram
-from repro.obs.httpd import TelemetryServer
 from repro.obs.lifecycle import QueryLifecycle
 from repro.obs.metrics import NULL_METRICS, Metrics, NullMetrics, TraceEvent
 from repro.obs.profile import ProfileReport, profile_query
 from repro.obs.querylog import QueryLogWriter, read_query_log
 from repro.obs.record import QueryRecord
-from repro.obs.sampler import ResourceSampler
-from repro.obs.sampling_profiler import SamplingProfiler
 from repro.obs.slowlog import SlowQueryLog
 from repro.obs.space import (
     SpaceNode,
@@ -87,7 +74,6 @@ from repro.obs.space import (
     publish_space_gauges,
 )
 from repro.obs.spans import Span, SpanStack
-from repro.obs.timeseries import TimeSeries
 
 __all__ = [
     "CountingBitVector",
@@ -101,14 +87,10 @@ __all__ = [
     "QueryLifecycle",
     "QueryLogWriter",
     "QueryRecord",
-    "ResourceSampler",
-    "SamplingProfiler",
     "SlowQueryLog",
     "Span",
     "SpaceNode",
     "SpanStack",
-    "TelemetryServer",
-    "TimeSeries",
     "TraceEvent",
     "audit_index",
     "audit_manifest",

@@ -17,17 +17,34 @@ snapshot dict) into that format:
 Metric names are sanitised to ``[a-zA-Z_][a-zA-Z0-9_]*`` (dots and
 dashes become underscores), matching the exposition-format grammar.
 
-No HTTP server is provided — any WSGI one-liner or a file scrape
-(node-exporter textfile collector) can serve the returned string.
+Over a live service, :func:`scrape_metrics` and :func:`debug_vars` are
+what ``/metrics`` and ``/debug/vars`` on the HTTP front door (and the
+REPL's ``.metrics`` / ``.vars``) return.  The levels no query path
+keeps — the ``process.*`` vitals and the ``space.bytes`` audit — are
+read when a page is asked for, so nothing runs between scrapes.
 """
 
 from __future__ import annotations
 
+import gc
+import os
 import re
+import sys
+import threading
+import time
 
 from repro.obs.histogram import LogHistogram
 
+try:
+    import resource as _resource
+except ImportError:  # pragma: no cover - non-POSIX platforms
+    _resource = None
+
+#: Content type mandated by the Prometheus text exposition format.
+PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
 _NAME_OK = re.compile(r"[^a-zA-Z0-9_]")
+_PAGE_SIZE = os.sysconf("SC_PAGE_SIZE") if hasattr(os, "sysconf") else 4096
 
 
 def _sanitize(name: str) -> str:
@@ -164,3 +181,100 @@ def prometheus_text(metrics, prefix: str = "repro") -> str:
         )
 
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+# ----------------------------------------------------------------------
+# Scrape time: the pages of a live service
+# ----------------------------------------------------------------------
+
+
+def _peak_rss_bytes() -> float:
+    if _resource is None:  # pragma: no cover - non-POSIX platforms
+        return 0.0
+    peak = _resource.getrusage(_resource.RUSAGE_SELF).ru_maxrss
+    # ru_maxrss is KiB on Linux, bytes on macOS.
+    return float(peak if sys.platform == "darwin" else peak * 1024)
+
+
+def read_rss_bytes() -> float:
+    """Current resident set size in bytes: ``/proc/self/statm`` where
+    it exists, else the peak ``getrusage`` reports."""
+    try:
+        with open("/proc/self/statm", "rb") as handle:
+            return float(int(handle.read().split()[1]) * _PAGE_SIZE)
+    except (OSError, IndexError, ValueError):
+        return _peak_rss_bytes()
+
+
+def process_gauges(started_at: float) -> dict[str, float]:
+    """The process vitals, read now.  Exported as the conventional
+    ``repro_process_*`` family; ``started_at`` is a monotonic stamp."""
+    collections = collected = 0
+    for gen in gc.get_stats():
+        collections += gen.get("collections", 0)
+        collected += gen.get("collected", 0)
+    times = os.times()
+    rss = read_rss_bytes()
+    return {
+        "process.rss_bytes": rss,
+        "process.peak_rss_bytes": max(rss, _peak_rss_bytes()),
+        "process.cpu_seconds": times.user + times.system,
+        "process.uptime_seconds": time.monotonic() - started_at,
+        "process.gc_collections": float(collections),
+        "process.gc_collected_objects": float(collected),
+        "process.threads": float(threading.active_count()),
+    }
+
+
+def _read_levels(service) -> None:
+    """Write the space audit and the process vitals into the service's
+    registry.  The audit runs first, so it sees the registry as
+    ``/debug/space`` does."""
+    metrics = service.metrics
+    if not metrics.enabled:
+        return
+    from repro.obs.space import audit_service, publish_space_gauges
+
+    vitals = process_gauges(service.started_at)
+    with service.obs_lock:
+        try:
+            publish_space_gauges(metrics, audit_service(service))
+        except Exception:
+            # A scrape racing a service close must not take /metrics
+            # down; the previously published gauges keep rendering.
+            pass
+        for name, value in vitals.items():
+            metrics.set_gauge(name, value)
+
+
+def scrape_metrics(service) -> str:
+    """The ``/metrics`` document of a live service, read now."""
+    _read_levels(service)
+    with service.obs_lock:
+        return prometheus_text(service.metrics)
+
+
+def debug_vars(service) -> dict:
+    """The ``/debug/vars`` snapshot of a live service, read now: the
+    registry, the slow log without its span trees, stats and health."""
+    _read_levels(service)
+    metrics = service.metrics
+    with service.obs_lock:
+        out: dict = {
+            "counters": dict(sorted(metrics.counters.items())),
+            "gauges": dict(sorted(metrics.gauges.items())),
+            "phase_seconds": dict(sorted(metrics.phase_seconds.items())),
+            "histograms": {
+                name: hist.summary()
+                for name, hist in sorted(metrics.histograms.items())
+            },
+        }
+        if service.slow_log is not None:
+            out["slow_log"] = service.slow_log.to_dict()
+            for entry in out["slow_log"]["entries"]:
+                # Span trees belong in the slow log proper; keep the
+                # snapshot scrape-sized.
+                entry.pop("span_tree", None)
+    out["service"] = service.stats()
+    out["healthz"] = service.healthz()
+    return out

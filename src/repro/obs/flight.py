@@ -11,7 +11,7 @@ by the capacity no matter how long the service runs.
 
 Consumers:
 
-* ``GET /debug/flight`` on the telemetry httpd returns the ring as
+* ``GET /debug/flight`` on the HTTP front door returns the ring as
   JSON, newest last, each record carrying the ``query_id`` that joins
   the query log, slow log, span trees and histogram exemplars;
 * :class:`~repro.errors.WorkerCrashedError` carries the ring's tail as

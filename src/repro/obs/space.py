@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import sys
 from collections import OrderedDict, deque
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -385,19 +385,9 @@ def publish_space_gauges(
     return published
 
 
-def space_report(
-    service: Any,
-    n_triples: "int | None" = None,
-    audit: "Callable[[Any], SpaceNode] | None" = None,
-) -> "dict[str, Any]":
-    """Build the ``/debug/space`` payload for a live service."""
-    node = (audit or audit_service)(service)
-    if n_triples is None:
-        index = getattr(service, "index", None)
-        ring = getattr(index, "ring", None)
-        if ring is not None:
-            n_triples = len(ring)
-    payload: "dict[str, Any]" = {"tree": node.to_dict(n_triples)}
-    if n_triples:
-        payload["n_triples"] = int(n_triples)
-    return payload
+def space_report(service: Any) -> "dict[str, Any]":
+    """The ``/debug/space`` payload: the live service, audited now."""
+    with service.obs_lock:
+        node = audit_service(service)
+    n_triples = len(service.index.ring)
+    return {"tree": node.to_dict(n_triples), "n_triples": n_triples}

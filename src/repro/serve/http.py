@@ -4,10 +4,9 @@ Until now :class:`~repro.serve.service.QueryService` was in-process
 only — the CLI REPL was its sole client, and the admission
 controller's fast-reject path had never been exercised from outside
 the process.  This module puts a real network tier in front of the
-Ticket API, in the same stdlib-only spirit as :mod:`repro.obs.httpd`
-but built on :mod:`asyncio` streams, because a front door must keep
-thousands of mostly-idle connections cheap and must stream large
-answers with per-connection backpressure:
+Ticket API, stdlib-only and built on :mod:`asyncio` streams, because a
+front door must keep thousands of mostly-idle connections cheap and
+must stream large answers with per-connection backpressure:
 
 * ``POST /query`` — submit one RPQ and stream its answer back as
   chunked **NDJSON pages** (header record, bounded page records,
@@ -20,10 +19,12 @@ answers with per-connection backpressure:
   re-fetch any suffix of a settled answer without re-running it;
 * ``POST /cancel/{id}`` (also ``DELETE /query/{id}``) — cooperative
   cancellation mapped onto :meth:`Ticket.cancel`;
-* ``GET /healthz`` and ``GET /debug/flight`` — the service's health
-  snapshot and the audit plane's flight-recorder ring, so the
-  lifecycle instrumentation of PR 8 is observable through the same
-  socket the queries use.
+* ``GET /healthz``, ``/metrics``, ``/debug/vars``, ``/debug/flight``
+  and ``/debug/space`` — the service's health, its Prometheus
+  exposition, a JSON snapshot of its registry, the flight-recorder
+  ring and the space audit, on the socket the queries use.  Each page
+  is read when it is asked for (:mod:`repro.obs.export`), so one port
+  and one shutdown path cover queries and telemetry alike.
 
 Contract highlights (the parts a client must know):
 
@@ -68,6 +69,8 @@ from repro.errors import (
     ServiceClosedError,
     UnknownSymbolError,
 )
+from repro.obs.export import PROMETHEUS_CONTENT_TYPE, debug_vars, scrape_metrics
+from repro.obs.space import space_report
 
 #: Content type of the streamed page framing.
 NDJSON_CONTENT_TYPE = "application/x-ndjson"
@@ -92,6 +95,13 @@ _REASONS = {
     405: "Method Not Allowed", 411: "Length Required",
     413: "Payload Too Large", 429: "Too Many Requests",
     500: "Internal Server Error", 503: "Service Unavailable",
+}
+
+#: The telemetry pages: path → renderer over the live service.
+_TELEMETRY = {
+    "/metrics": scrape_metrics,
+    "/debug/vars": debug_vars,
+    "/debug/space": space_report,
 }
 
 
@@ -628,6 +638,9 @@ class HTTPQueryServer:
                 await self._handle_cancel(conn, path[len("/query/"):],
                                           keep_alive)
                 return True
+            if path in _TELEMETRY and method == "GET":
+                await self._handle_telemetry(conn, path, keep_alive)
+                return True
             if path == "/healthz" and method == "GET":
                 await self._handle_healthz(conn, keep_alive)
                 return True
@@ -640,7 +653,8 @@ class HTTPQueryServer:
                     keep_alive=keep_alive,
                 )
                 return True
-            known = {"/query", "/submit", "/healthz", "/debug/flight"}
+            known = {"/query", "/submit", "/healthz", "/debug/flight",
+                     *_TELEMETRY}
             status = 405 if path in known else 404
             await self._send_error(
                 conn, status,
@@ -1054,6 +1068,21 @@ class HTTPQueryServer:
         await conn.send_response(200, _json_body(flight.snapshot()),
                                  keep_alive=keep_alive)
 
+    async def _handle_telemetry(self, conn: _Conn, path: str,
+                                keep_alive: bool) -> None:
+        # Rendered in a worker thread: a space audit walks every cached
+        # answer under the registry lock, and the answers streaming on
+        # this loop must not wait for it.
+        body = await asyncio.to_thread(_TELEMETRY[path], self.service)
+        if path == "/metrics":
+            await conn.send_response(
+                200, body.encode("utf-8"),
+                content_type=PROMETHEUS_CONTENT_TYPE, keep_alive=keep_alive,
+            )
+        else:
+            await conn.send_response(200, _json_body(body),
+                                     keep_alive=keep_alive)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         running = self._thread is not None
         return f"HTTPQueryServer({self.url}, running={running})"
@@ -1105,5 +1134,8 @@ _INDEX_BODY = ("\n".join((
     "  GET  /result/{id}   stream pages (?cursor=N&page_size=K)",
     "  POST /cancel/{id}   cooperative cancellation",
     "  GET  /healthz       service health + load",
+    "  GET  /metrics       Prometheus exposition, read at scrape time",
+    "  GET  /debug/vars    registry + slow-log snapshot (JSON)",
     "  GET  /debug/flight  last-N settled-query audit ring",
+    "  GET  /debug/space   space-audit tree (bytes, bits/triple)",
 )) + "\n").encode("utf-8")

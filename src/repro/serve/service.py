@@ -487,9 +487,9 @@ class QueryService:
     def obs_lock(self) -> threading.Lock:
         """The lock guarding :attr:`metrics` (and the slow log).
 
-        The telemetry plane — :class:`~repro.obs.httpd.TelemetryServer`
-        scrapes, :class:`~repro.obs.sampler.ResourceSampler` gauge
-        writes — must hold this lock around any registry access, since
+        The telemetry pages (:func:`repro.obs.export.scrape_metrics`
+        and its siblings, served by the HTTP front door) must hold this
+        lock around any registry access, since
         :class:`~repro.obs.metrics.Metrics` itself is not thread-safe.
         """
         return self._lock

@@ -24,10 +24,10 @@ from repro.errors import WorkerCrashedError
 from repro.obs.export import prometheus_text
 from repro.obs.flight import FlightRecorder
 from repro.obs.histogram import LogHistogram
-from repro.obs.httpd import TelemetryServer
 from repro.obs.lifecycle import STAGE_MARKS, QueryLifecycle
 from repro.obs.metrics import Metrics
 from repro.obs.querylog import QueryLogWriter, read_query_log
+from repro.serve.http import HTTPQueryServer
 from repro.serve.service import QueryService
 
 WORKLOAD = [
@@ -368,10 +368,10 @@ def test_debug_flight_endpoint_serves_the_ring(kg_index):
     try:
         for query in WORKLOAD:
             service.evaluate(query, timeout=60)
-        with TelemetryServer(metrics, lock=service.obs_lock,
-                             service=service, flight=flight) as httpd:
+        # The front door reads the service's own recorder.
+        with HTTPQueryServer(service) as server:
             status, content_type, body = _get(
-                f"{httpd.url}/debug/flight"
+                f"{server.url}/debug/flight"
             )
             assert status == 200
             assert content_type == "application/json"
@@ -382,7 +382,7 @@ def test_debug_flight_endpoint_serves_the_ring(kg_index):
             assert len(ids) == len(WORKLOAD)
             # The ids join the exemplars: scrape /metrics and check the
             # exemplar labels all resolve into the flight ring.
-            _, _, metrics_text = _get(f"{httpd.url}/metrics")
+            _, _, metrics_text = _get(f"{server.url}/metrics")
             import re
 
             exemplar_ids = set(re.findall(
@@ -390,30 +390,19 @@ def test_debug_flight_endpoint_serves_the_ring(kg_index):
             ))
             assert exemplar_ids and exemplar_ids <= set(ids)
             # The index advertises the endpoint.
-            _, _, index_body = _get(httpd.url)
+            _, _, index_body = _get(server.url)
             assert "/debug/flight" in index_body
     finally:
         service.close()
 
 
-def test_debug_flight_404_without_recorder():
-    metrics = Metrics()
-    with TelemetryServer(metrics) as httpd:
-        with pytest.raises(urllib.error.HTTPError) as info:
-            _get(f"{httpd.url}/debug/flight")
-        assert info.value.code == 404
-
-
-def test_httpd_falls_back_to_the_service_flight(kg_index):
-    metrics = Metrics()
-    flight = FlightRecorder(4)
-    service = QueryService(kg_index, workers=1, metrics=metrics,
-                           flight=flight, cache_size=0)
+def test_debug_flight_404_without_recorder(kg_index):
+    service = QueryService(kg_index, workers=1, metrics=Metrics())
     try:
-        service.evaluate(WORKLOAD[0], timeout=60)
-        httpd = TelemetryServer(metrics, lock=service.obs_lock,
-                                service=service)  # no flight= passed
-        assert httpd.render_flight()["total_recorded"] == 1
+        with HTTPQueryServer(service) as server:
+            with pytest.raises(urllib.error.HTTPError) as info:
+                _get(f"{server.url}/debug/flight")
+            assert info.value.code == 404
     finally:
         service.close()
 

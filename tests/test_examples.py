@@ -73,15 +73,15 @@ def test_query_log_analysis(monkeypatch, capsys):
 
 @pytest.mark.concurrency
 def test_live_telemetry(monkeypatch, capsys, tmp_path):
-    stacks_path = tmp_path / "stacks.collapsed"
+    stem = tmp_path / "live-telemetry"
     out = run_example(
         monkeypatch, capsys, "live_telemetry.py",
-        ["--queries", "20", "--out", str(stacks_path)],
+        ["--queries", "20", "--out", str(stem)],
     )
     assert "/healthz ok" in out
     assert "/metrics ok" in out
     assert "/debug/vars ok" in out
+    assert "/debug/space ok" in out
     assert "all checks passed" in out
-    # The collapsed-stacks artifact exists (may be empty on a very
-    # fast run where no sampler tick caught an engine frame).
-    assert stacks_path.exists()
+    assert stem.with_suffix(".queries.jsonl").exists()
+    assert stem.with_suffix(".flight.json").exists()

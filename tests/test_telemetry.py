@@ -1,18 +1,18 @@
-"""Tests for the live telemetry plane: sampler, profiler, query log,
-and the HTTP endpoint served over a running :class:`QueryService`.
+"""Tests for the telemetry pages and the query log.
 
-The end-to-end test is the PR's acceptance check: boot a real service
-with every telemetry component attached, run a workload, scrape
-``/metrics`` over actual HTTP and validate the Prometheus exposition
+The end-to-end test is the acceptance check: boot a real service
+behind the HTTP front door, run a workload, scrape ``/metrics`` over
+the port the queries use and validate the Prometheus exposition
 semantics (cumulative buckets ending in ``+Inf``, ``_sum``/``_count``
-consistency, counter/gauge round-trips), then join one query's
-``query_id`` across the query log, the slow log and the span tree.
+consistency, counter/gauge round-trips, the ``repro_process_*``
+vitals), then join one query's ``query_id`` across the query log, the
+slow log and the span tree.  Every page is read when it is asked for:
+no thread samples between scrapes.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 import time
 import urllib.error
 import urllib.request
@@ -24,159 +24,57 @@ from repro.obs import (
     Metrics,
     QueryLogWriter,
     QueryRecord,
-    ResourceSampler,
-    SamplingProfiler,
-    TelemetryServer,
-    prometheus_text,
     read_query_log,
 )
-from repro.obs.httpd import PROMETHEUS_CONTENT_TYPE
-from repro.obs.sampler import PROCESS_GAUGES, read_rss_bytes
+from repro.obs.export import (
+    PROMETHEUS_CONTENT_TYPE,
+    read_rss_bytes,
+    scrape_metrics,
+)
 from repro.obs.slowlog import SlowQueryLog
-from repro.serve import QueryService
+from repro.serve import HTTPQueryServer, QueryService
+
+#: The process vitals every scrape reads, by their exported names.
+PROCESS_FAMILY = (
+    "repro_process_rss_bytes",
+    "repro_process_peak_rss_bytes",
+    "repro_process_cpu_seconds",
+    "repro_process_uptime_seconds",
+    "repro_process_gc_collections",
+    "repro_process_gc_collected_objects",
+    "repro_process_threads",
+)
 
 
 # ----------------------------------------------------------------------
-# Resource sampler
+# Process vitals, read at scrape time
 # ----------------------------------------------------------------------
 
 
-class TestResourceSampler:
+class TestProcessGauges:
     def test_read_rss_is_positive(self):
         assert read_rss_bytes() > 0
 
-    def test_sample_once_records_vitals_and_gauges(self):
+    def test_each_scrape_reads_the_vitals(self, kg_index):
         metrics = Metrics()
-        metrics.set_gauge("serve.queue_depth", 3.0)
-        metrics.set_gauge("unrelated.gauge", 9.0)
-        sampler = ResourceSampler(metrics=metrics, interval=0.01)
-        readings = sampler.sample_once()
-        assert readings["process.rss_bytes"] > 0
-        assert readings["process.threads"] >= 1
-        # Every standard vital got a series point.
-        for name in PROCESS_GAUGES:
-            assert name in sampler.series, name
-            assert len(sampler.series[name]) == 1
-        # serve.* gauges are mirrored into series; others are not.
-        assert sampler.series["serve.queue_depth"].last() == 3.0
-        assert "unrelated.gauge" not in sampler.series
-        # The registry now carries process.* gauges, so the standard
-        # Prometheus exporter emits the repro_process_* family with no
-        # exporter changes (satellite: standard process metrics).
-        text = prometheus_text(metrics)
-        assert "repro_process_rss_bytes " in text
-        assert "repro_process_cpu_seconds " in text
-
-    def test_background_thread_ticks_and_peak(self):
-        sampler = ResourceSampler(interval=0.01)
-        with sampler:
-            time.sleep(0.06)
-        assert sampler.ticks >= 2
-        assert sampler.peak("process.rss_bytes") > 0
-        last = sampler.process_metrics()
-        assert last["process.peak_rss_bytes"] >= last["process.rss_bytes"]
-        snap = sampler.snapshot(max_points=5)
-        assert snap["ticks"] == sampler.ticks
-        assert len(snap["series"]["process.rss_bytes"]["points"]) <= 5
-
-    def test_interval_validation(self):
-        with pytest.raises(ValueError):
-            ResourceSampler(interval=0.0)
-
-
-# ----------------------------------------------------------------------
-# Sampling profiler
-# ----------------------------------------------------------------------
-
-
-def _spin(inside: threading.Event, release: threading.Event) -> None:
-    inside.set()
-    while not release.is_set():
-        sum(range(50))
-
-
-def backward_step_many(inside, release):
-    # Named after a real engine function so PHASE_BY_FUNCTION maps the
-    # sampled stack to its paper phase (subjects_from_predicates).
-    _spin(inside, release)
-
-
-def _unmapped_wrapper(inside, release):
-    _spin(inside, release)
-
-
-class _BusyThread:
-    """A thread guaranteed to be inside ``target`` while sampled."""
-
-    def __init__(self, target):
-        self.inside = threading.Event()
-        self.release = threading.Event()
-        self.thread = threading.Thread(
-            target=target, args=(self.inside, self.release), daemon=True
-        )
-
-    def __enter__(self) -> "_BusyThread":
-        self.thread.start()
-        assert self.inside.wait(5)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.release.set()
-        self.thread.join(5)
-
-
-class TestSamplingProfiler:
-    def test_busy_thread_produces_stacks_and_phase(self):
-        profiler = SamplingProfiler(module_prefixes=(__name__,))
-        with _BusyThread(backward_step_many):
-            recorded = profiler.sample()
-        assert recorded >= 1
-        assert profiler.samples == 1
-        counts = profiler.stack_counts()
-        assert counts
-        (stack, n), = list(counts.items())[:1] or [((), 0)]
-        # Outermost-first: the wrapper encloses the spin loop.
-        assert any("backward_step_many" in label for label in stack)
-        assert stack[-1].endswith(":_spin")
-        # Phase attribution walked past the unmapped innermost frame.
-        assert profiler.hot_phases() == {"subjects_from_predicates": 1}
-        collapsed = profiler.collapsed()
-        assert collapsed.strip().endswith(" 1")
-        assert ";" in collapsed
-        snap = profiler.snapshot()
-        assert snap["samples"] == 1
-        assert snap["top_stacks"][0]["samples"] == 1
-
-    def test_ignored_thread_is_skipped(self):
-        profiler = SamplingProfiler(module_prefixes=(__name__,))
-        with _BusyThread(backward_step_many) as busy:
-            profiler.ignore_thread(busy.thread)
-            recorded = profiler.sample()
-        assert recorded == 0
-        assert profiler.stack_counts() == {}
-
-    def test_max_stacks_truncates_novel_shapes(self):
-        profiler = SamplingProfiler(module_prefixes=(__name__,),
-                                    max_stacks=1)
-        with _BusyThread(backward_step_many):
-            profiler.sample()
-        with _BusyThread(_unmapped_wrapper):
-            profiler.sample()
-        assert profiler.truncated_stacks >= 1
-        assert any(
-            stack[0].startswith("(truncated:")
-            for stack in profiler.stack_counts()
-            if len(stack) == 1
-        )
-
-    def test_reset(self):
-        profiler = SamplingProfiler(module_prefixes=(__name__,))
-        with _BusyThread(backward_step_many):
-            profiler.sample()
-        profiler.reset()
-        assert profiler.samples == 0
-        assert profiler.stack_counts() == {}
-        assert profiler.collapsed() == ""
+        service = QueryService(kg_index, workers=1, metrics=metrics)
+        try:
+            # Nothing writes them before someone asks.
+            assert not any(name.startswith("process.")
+                           for name in metrics.gauges)
+            first = _parse_prometheus(scrape_metrics(service))
+            for name in PROCESS_FAMILY:
+                assert len(first[name]) == 1, name
+            (_, rss), = first["repro_process_rss_bytes"]
+            (_, peak), = first["repro_process_peak_rss_bytes"]
+            assert peak >= rss > 0
+            assert first["repro_process_threads"][0][1] >= 1
+            time.sleep(0.01)
+            second = _parse_prometheus(scrape_metrics(service))
+            assert (second["repro_process_uptime_seconds"][0][1]
+                    > first["repro_process_uptime_seconds"][0][1])
+        finally:
+            service.close()
 
 
 # ----------------------------------------------------------------------
@@ -253,7 +151,8 @@ def _parse_prometheus(text: str) -> dict:
 class TestTelemetryEndToEnd:
     @pytest.fixture()
     def plane(self, kg_index, tmp_path):
-        """A live service with every telemetry component attached."""
+        """A live service with every telemetry sink, behind the front
+        door that serves its queries and its telemetry on one port."""
         metrics = Metrics(span_capacity=512)
         slow_log = SlowQueryLog(capacity=8)
         query_log = QueryLogWriter(tmp_path / "queries.jsonl")
@@ -261,39 +160,26 @@ class TestTelemetryEndToEnd:
             kg_index, workers=2, cache_size=8, metrics=metrics,
             slow_log=slow_log, query_log=query_log,
         )
-        profiler = SamplingProfiler()
-        sampler = ResourceSampler(
-            metrics=metrics, lock=service.obs_lock, interval=0.02,
-            profiler=profiler,
-        )
-        httpd = TelemetryServer(
-            metrics, lock=service.obs_lock, service=service,
-            sampler=sampler, profiler=profiler, slow_log=slow_log,
-        )
-        sampler.start()
-        httpd.start()
+        server = HTTPQueryServer(service).start()
         try:
             yield {
                 "service": service, "metrics": metrics,
-                "slow_log": slow_log, "sampler": sampler,
-                "httpd": httpd,
+                "slow_log": slow_log, "server": server,
                 "query_log_path": tmp_path / "queries.jsonl",
             }
         finally:
-            httpd.stop()
-            sampler.stop()
+            server.stop()
             service.close()
             query_log.close()
 
     def test_live_scrape(self, plane):
         service = plane["service"]
-        httpd = plane["httpd"]
+        server = plane["server"]
         for query in ("(?x, p0/p1, ?y)", "(?x, p2, ?y)",
                       "(?x, p0/p1, ?y)"):
             service.evaluate(query)
-        plane["sampler"].sample_once()
 
-        status, content_type, body = _get(httpd.url + "/metrics")
+        status, content_type, body = _get(server.url + "/metrics")
         assert status == 200
         assert content_type == PROMETHEUS_CONTENT_TYPE
         samples = _parse_prometheus(body)
@@ -305,7 +191,7 @@ class TestTelemetryEndToEnd:
         (_, hits), = samples["repro_serve_cache_hits_total"]
         assert hits == 1.0
 
-        # Gauge round-trip, including the sampler's process family.
+        # Gauge round-trip, including the vitals this scrape read.
         (_, cache_size), = samples["repro_serve_cache_size"]
         assert cache_size == metrics.gauge("serve.cache_size") == 2.0
         (_, rss), = samples["repro_process_rss_bytes"]
@@ -328,49 +214,44 @@ class TestTelemetryEndToEnd:
             # histograms saw exactly the two executed queries.
             assert count == 2.0 and total >= 0.0
 
-    def test_healthz_and_vars_and_profile(self, plane):
+    def test_healthz_and_vars(self, plane):
         service = plane["service"]
-        httpd = plane["httpd"]
+        server = plane["server"]
         service.evaluate("(?x, p0, ?y)")
-        plane["sampler"].sample_once()
 
-        status, content_type, body = _get(httpd.url + "/healthz")
+        status, content_type, body = _get(server.url + "/healthz")
         assert status == 200 and content_type == "application/json"
         health = json.loads(body)
         assert health["status"] == "ok"
         assert health["workers"] == 2
         assert health["queue_depth"] == 0 and health["inflight"] == 0
 
-        status, _, body = _get(httpd.url + "/debug/vars")
+        status, _, body = _get(server.url + "/debug/vars")
         assert status == 200
         snapshot = json.loads(body)
         assert snapshot["counters"]["serve.submitted"] == 1
         assert snapshot["service"]["workers"] == 2
         assert snapshot["slow_log"]["entries"]
         assert "span_tree" not in snapshot["slow_log"]["entries"][0]
-        series = snapshot["timeseries"]["series"]
-        assert series["process.rss_bytes"]["count"] >= 1
-        assert "profile" in snapshot
+        assert snapshot["gauges"]["process.rss_bytes"] > 0
 
-        status, _, body = _get(httpd.url + "/debug/profile")
-        assert status == 200  # may legitimately be empty this early
-
-        status, _, body = _get(httpd.url + "/")
-        assert status == 200 and "/metrics" in body
+        status, _, body = _get(server.url + "/")
+        assert status == 200
+        assert "/metrics" in body and "/debug/vars" in body
 
         with pytest.raises(urllib.error.HTTPError) as info:
-            _get(httpd.url + "/nope")
+            _get(server.url + "/nope")
         assert info.value.code == 404
 
     def test_healthz_degrades_after_close(self, plane):
         plane["service"].close()
         with pytest.raises(urllib.error.HTTPError) as info:
-            _get(plane["httpd"].url + "/healthz")
+            _get(plane["server"].url + "/healthz")
         assert info.value.code == 503
         assert json.loads(info.value.read())["status"] == "closed"
         # /metrics still serves — post-mortem scrapes see zeroed load
         # gauges rather than connection errors.
-        _, _, body = _get(plane["httpd"].url + "/metrics")
+        _, _, body = _get(plane["server"].url + "/metrics")
         samples = _parse_prometheus(body)
         assert samples["repro_serve_queue_depth"][0][1] == 0.0
         assert samples["repro_serve_inflight"][0][1] == 0.0
