@@ -27,8 +27,8 @@ Package layout:
 * :mod:`repro.baselines` — the comparison engines of the evaluation;
 * :mod:`repro.bench` — the harness regenerating every published table
   and figure;
-* :mod:`repro.obs` — observability: operation counters, phase timers,
-  trace hooks and the ``repro profile`` machinery;
+* :mod:`repro.obs` — observability: phase timers, histograms, spans,
+  the per-query record and ``repro explain --analyze``;
 * :mod:`repro.serve` — the concurrent query service: worker pool,
   admission control, deadlines/cancellation, result caching;
 * :mod:`repro.testing` — brute-force oracles for differential testing.
@@ -51,7 +51,6 @@ from repro.errors import (
 )
 from repro.graph.model import Graph
 from repro.obs.metrics import NULL_METRICS, Metrics
-from repro.obs.profile import ProfileReport, profile_query
 from repro.ring.builder import RingIndex
 from repro.ring.dictionary import Dictionary
 from repro.ring.ring import Ring
@@ -68,7 +67,6 @@ __all__ = [
     "NULL_METRICS",
     "OverloadedError",
     "ProcessQueryService",
-    "ProfileReport",
     "QueryCancelledError",
     "QueryResult",
     "QueryService",
@@ -86,5 +84,4 @@ __all__ = [
     "WorkerCrashedError",
     "__version__",
     "parse_regex",
-    "profile_query",
 ]

@@ -3,9 +3,9 @@
 Subcommands::
 
     ring-rpq query GRAPH.nt "(?x, p1/p2*, ?y)"    evaluate one RPQ
-    ring-rpq profile GRAPH.nt "(?x, p1+, ?y)"     per-phase cost profile
     ring-rpq explain GRAPH.nt "(?x, p1+, ?y)"     plan + cost estimates
-                                                   (--analyze: est vs actual)
+                                                   (--analyze: run it; est
+                                                   vs actual, phases, spans)
     ring-rpq match GRAPH.nt ? p ?                  triple-pattern lookup
     ring-rpq stats GRAPH.nt                        index statistics
     ring-rpq serve GRAPH.nt                        interactive query loop
@@ -73,29 +73,6 @@ def _backend_engine(args: argparse.Namespace, index):
     """The engine override for --backend (None means the ring)."""
     backend = getattr(args, "backend", "ring")
     return None if backend == "ring" else make_engine(backend, index)
-
-
-def cmd_profile(args: argparse.Namespace) -> int:
-    from repro.obs.profile import profile_query
-
-    index = _load_index(args.graph, args.symmetric)
-    report = profile_query(
-        index,
-        args.query,
-        timeout=args.timeout,
-        limit=args.limit,
-        trace_capacity=args.trace_capacity,
-        engine=_backend_engine(args, index),
-    )
-    if args.json:
-        print(report.to_json())
-    else:
-        print(report.format_table())
-    if args.trace is not None:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
-        print(f"# trace written to {args.trace}", file=sys.stderr)
-    return 0
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
@@ -464,28 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="predicates stored bidirectionally")
     q.set_defaults(func=cmd_query)
 
-    p = sub.add_parser(
-        "profile",
-        help="evaluate one RPQ with full metrics and print the "
-             "per-phase operation/timing table",
-    )
-    p.add_argument("graph", help="triple file (s p o per line)")
-    p.add_argument("query", help='e.g. "(?x, p1/p2*, ?y)"')
-    p.add_argument("--timeout", type=float, default=None)
-    p.add_argument("--limit", type=int, default=1_000_000)
-    p.add_argument("--backend", default="ring",
-                   choices=["ring", *MATRIX_ENGINES],
-                   help="evaluation backend to profile")
-    p.add_argument("--symmetric", nargs="*", default=[],
-                   help="predicates stored bidirectionally")
-    p.add_argument("--json", action="store_true",
-                   help="print the full report as JSON instead of a table")
-    p.add_argument("--trace", metavar="OUT.json", default=None,
-                   help="also dump the report (with trace events) to a file")
-    p.add_argument("--trace-capacity", type=int, default=10_000,
-                   help="ring-buffer size for retained trace events")
-    p.set_defaults(func=cmd_profile)
-
     e = sub.add_parser(
         "explain",
         help="show the query plan (automaton, B table, strategy, cost "
@@ -495,8 +450,9 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("graph", help="triple file (s p o per line)")
     e.add_argument("query", help='e.g. "(?x, p1/p2*, ?y)"')
     e.add_argument("--analyze", action="store_true",
-                   help="run the query and report estimated vs. actual "
-                        "counters per phase")
+                   help="run the query and report its query record: "
+                        "estimated vs. actual counters, the per-phase "
+                        "table and the span tree")
     e.add_argument("--timeout", type=float, default=None)
     e.add_argument("--limit", type=int, default=1_000_000)
     e.add_argument("--backend", default="ring",

@@ -7,28 +7,26 @@ BFS generation).  Every entry can be expanded on its own — one stack
 walk of ``L_p`` pruned by the ``B[v]`` masks, and at each accepted
 predicate leaf one stack walk of ``L_s`` pruned by the ``D[v]`` marks,
 all on Python ints — and that is the whole algorithm.  Where a frontier
-is wide the same work runs on whole frontiers instead:
+is wide — in a multi-anchor run (:meth:`BatchedBackwardRun.run_many`)
+— the same work runs on whole frontiers instead:
 
 * all L_p descents of a wave merge into one level-synchronous frontier
   — the ``B[v]`` mask pruning of §4.1 becomes a numpy boolean filter
   against a per-level mask array, and each level costs one vectorized
   rank call (:func:`repro._util.bits.rank1_many_words`) instead of two
   scalar ranks per node;
-* in a multi-anchor run (:meth:`BatchedBackwardRun.run_many`) the
-  traversal state is arrays, not dicts: the ``D`` visited table is a
-  sorted ``int64`` key column ``anchor·|V| + node`` with a mask column,
-  and the ``D[v]`` marks of §4.2 are one such pair per ``L_s`` level,
-  keyed ``anchor·2^level + prefix``.  All L_s descents of a wave, from
-  every anchor, then run as one level-synchronous descent: each level is
-  one rank call, and the empty / prune / cover / child steps are
-  whole-frontier filters with ``np.searchsorted`` lookups into the
-  marks, merged back once per level.
+* the traversal state is arrays, not dicts: the ``D`` visited table is
+  a sorted ``int64`` key column ``anchor·|V| + node`` with a mask
+  column, and the ``D[v]`` marks of §4.2 are one such pair per ``L_s``
+  level, keyed ``anchor·2^level + prefix``.  All L_s descents of a
+  wave, from every anchor, then run as one level-synchronous descent:
+  each level is one rank call, and the empty / prune / cover / child
+  steps are whole-frontier filters with ``np.searchsorted`` lookups
+  into the marks, merged back once per level.
 
 What decides: a single-anchor run (:meth:`BatchedBackwardRun.run`)
-merges a wave's L_p descents when the wave has at least
-``_LP_WAVE_MIN`` entries, and walks its L_s descents one at a time on
-dicts; a multi-anchor run takes the array path for every wave.  Both
-need the automaton's masks to fit an ``int64`` column
+always expands entry by entry; a multi-anchor run takes the array path
+for every wave when the automaton's masks fit an ``int64`` column
 (``prepared.mask_levels`` is None for more than 63 states).  An engine
 built with ``batch=False`` never merges — the reference the
 differential tests hold the merged paths to.
@@ -63,10 +61,10 @@ counts as ``k`` in every bucket, so the PR-1 invariants
 (``lp_nodes + lp_pruned + lp_empty == lp_descents + lp_children`` and
 the L_s analogue) keep holding and the engine-level differential test
 can assert merged == unmerged counter for counter.  The only divergence
-is on early-exited runs (result cap hit, or boolean target found): a
-merged wave has already accounted the whole L_p leaf scan, and a merged
-L_s descent all its internal levels, where the entry-by-entry walk
-stops mid-scan.  Reported *results* are identical either way, because
+is on a multi-anchor run that hits its result cap: a merged wave has
+already accounted the whole L_p leaf scan, and a merged L_s descent
+all its internal levels, where the entry-by-entry walk stops
+mid-scan.  Reported *results* are identical either way, because
 leaves are processed in the same order up to the stopping point.
 
 Timeout ticks fire only at *balanced* points — end of an L_p wave, end
@@ -90,11 +88,6 @@ import numpy as np
 
 from repro._util.bits import rank1_many_words
 from repro.automata.glushkov import GlushkovAutomaton
-
-#: Waves of a single-anchor run with fewer pending entries than this
-#: expand entry by entry; the numpy level machinery costs ~tens of µs
-#: per wave, which only pays off once several descents share it.
-_LP_WAVE_MIN = 8
 
 #: One timeout tick per this many processed wavelet nodes.
 _TICK_GRAIN = 256
@@ -341,16 +334,12 @@ class BatchedBackwardRun:
     # One BFS generation
     # ------------------------------------------------------------------
 
-    def _open_wave(self, width, steps):
-        """Wave-level telemetry; returns the wave's span (or None).
-        ``steps()`` yields the wave's ``(b, e, D)`` when tracing."""
+    def _open_wave(self, width):
+        """Wave-level telemetry; returns the wave's span (or None)."""
         obs = self.obs
         if not obs.enabled:
             return None
         obs.inc("engine.steps", width)
-        if obs.tracing:
-            for b, e, d in steps():
-                obs.record("step", range=(b, e), states=d)
         if obs.spans is None:
             return None
         span = obs.spans.start("wave")
@@ -371,29 +360,12 @@ class BatchedBackwardRun:
         self._next_wave: list[tuple[int, int, int, int]] = []
         if not entries:
             return self._next_wave
-        span = self._open_wave(
-            len(entries), lambda: (entry[1:] for entry in entries)
-        )
-        if self.merge and len(entries) >= _LP_WAVE_MIN:
-            tasks = self._lp_wave(*(
-                np.fromiter((entry[i] for entry in entries), np.int64,
-                            len(entries))
-                for i in range(4)
-            ))
+        span = self._open_wave(len(entries))
+        for ai, b_o, e_o, d in entries:
+            self._expand_entry_scalar(ai, b_o, e_o, d)
             self._tick_flush()
-            for ai, b_s, e_s, d_next in zip(*(
-                column.tolist() for column in tasks
-            )):
-                self._collect_scalar(ai, b_s, e_s, d_next)
-                self._tick_flush()
-                if self.done:
-                    break
-        else:
-            for ai, b_o, e_o, d in entries:
-                self._expand_entry_scalar(ai, b_o, e_o, d)
-                self._tick_flush()
-                if self.done:
-                    break
+            if self.done:
+                break
         self._close_wave(span, len(self._next_wave))
         return self._next_wave
 
@@ -406,9 +378,7 @@ class BatchedBackwardRun:
             rows, b, e, d = rows[live], b[live], e[live], d[live]
         if not len(b):
             return rows, b, e, d
-        span = self._open_wave(
-            len(b), lambda: zip(b.tolist(), e.tolist(), d.tolist())
-        )
+        span = self._open_wave(len(b))
         tasks = self._lp_wave(rows, b, e, d)
         self._tick_flush()
         wave = self._ls_wave(*tasks, reports)
@@ -444,7 +414,6 @@ class BatchedBackwardRun:
         _, zeros, height, _, _, _ = self.engine.lp_data
         obs = self.obs
         timed = obs.enabled
-        tracing = obs.tracing
         spans = obs.spans if timed else None
         now = time.monotonic
         if timed:
@@ -534,17 +503,9 @@ class BatchedBackwardRun:
         rows = w_rows[eidx]
         moving = d_next != 0
         if not moving.all():
-            rows, b_s, e_s, d_next, prefix = (
+            rows, b_s, e_s, d_next = (
                 rows[moving], b_s[moving], e_s[moving], d_next[moving],
-                prefix[moving],
             )
-        if tracing:
-            for pid, bs, es, dn in zip(
-                prefix.tolist(), b_s.tolist(), e_s.tolist(), d_next.tolist(),
-            ):
-                obs.record(
-                    "backward_step", pid=pid, range=(bs, es), states=dn,
-                )
         if ring_span is not None:
             ring_span.set(steps=product_edges)
             spans.end(ring_span)
@@ -675,11 +636,6 @@ class BatchedBackwardRun:
         self.d_table = _or_into(*self.d_table, key[keep], d[keep])
         reports.append((rows[report], subject[report]))
         self.total_reported += int(report.sum())
-        if obs.tracing:
-            for node, states in zip(
-                subject[report].tolist(), d_new[report].tolist()
-            ):
-                obs.record("emit", subject=node, states=states)
         if self.done:
             keep[stop - 1] = False  # the leaf that filled the cap
         rows, subject, d_new = rows[keep], subject[keep], d_new[keep]
@@ -701,7 +657,7 @@ class BatchedBackwardRun:
         return rows[has], ob[has], oe[has], d_new[has]
 
     # ------------------------------------------------------------------
-    # One entry at a time (narrow frontiers, > 63 states, batch=False)
+    # One entry at a time (single anchor, > 63 states, batch=False)
     # ------------------------------------------------------------------
 
     def _expand_entry_scalar(self, ai, b_o, e_o, d):
@@ -723,7 +679,6 @@ class BatchedBackwardRun:
         levels, zeros, height, _, _, bottom_start = self.engine.lp_data
         obs = self.obs
         timed = obs.enabled
-        tracing = obs.tracing
         now = time.monotonic
         if timed:
             t_start = now()
@@ -760,11 +715,6 @@ class BatchedBackwardRun:
                 d_next = step_prefiltered(filtered)
                 if d_next == 0:
                     continue
-                if tracing:
-                    obs.record(
-                        "backward_step", pid=pid, range=(b_s, e_s),
-                        states=d_next,
-                    )
                 if timed:
                     t0 = now()
                     self._collect_scalar(ai, b_s, e_s, d_next)
@@ -826,7 +776,6 @@ class BatchedBackwardRun:
         next_wave = self._next_wave
         obs = self.obs
         timed = obs.enabled
-        tracing = obs.tracing
         now = time.monotonic
         if timed:
             t_start = now()
@@ -855,8 +804,6 @@ class BatchedBackwardRun:
                 if d_new & initial_mask:
                     reported.add(subject)
                     self.total_reported += 1
-                    if tracing:
-                        obs.record("emit", subject=subject, states=d_new)
                     if target is not None and subject == target:
                         self.done = True
                         break

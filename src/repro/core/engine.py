@@ -177,9 +177,6 @@ def run_query(engine, query, observed: tuple, timeout, limit,
     try:
         if obs.enabled:
             obs.inc("engine.queries")
-            if obs.tracing:
-                obs.record("query", query=str(rpq), shape=rpq.shape(),
-                           query_id=query_id)
         if limit is not None and limit <= 0:
             stats.truncated = True
         else:
@@ -303,7 +300,7 @@ class RingRPQEngine:
         (an expression and its reverse recur across phases).
     metrics:
         A :class:`~repro.obs.metrics.Metrics` registry receiving phase
-        timers, trace events, latency histograms and (when built with
+        timers, latency histograms and (when built with
         ``span_capacity > 0``) hierarchical spans; defaults to the
         no-op :data:`~repro.obs.metrics.NULL_METRICS` (operation
         *counters* always accumulate in :class:`QueryStats`
@@ -404,8 +401,8 @@ class RingRPQEngine:
         NFA states that enforce those conditions").
 
         ``metrics`` overrides the engine's registry for this one call —
-        the ``repro profile`` command uses this to collect phase timers
-        and trace events for a single query.  ``cancel`` is an optional
+        ``repro explain --analyze`` uses this to collect phase timers
+        and spans for a single query.  ``cancel`` is an optional
         cooperative cancellation token (anything with ``is_set()``,
         e.g. a :class:`threading.Event`) consulted at the same periodic
         ticks as the timeout; the serving layer's ``cancel(query_id)``

@@ -1,18 +1,15 @@
-"""Observability: operation counters, phase timers and trace hooks.
+"""Observability: phase timers, histograms, spans and the query record.
 
 The paper argues about *where time goes* — wavelet nodes pruned by the
 automaton's ``B[v]``/``D[v]`` masks versus backward-search steps — so
 this subpackage makes that accounting first-class:
 
 * :mod:`repro.obs.metrics` — the :class:`Metrics` registry (named
-  counters, per-phase seconds, a bounded trace-event ring buffer and
-  callback hooks) and the no-op default :data:`NULL_METRICS`;
-* :mod:`repro.obs.instrument` — zero-default-overhead instrumentation
-  of the succinct layer by swapping live instances to counting
-  subclasses (``BitVector.rank/select``, ``WaveletMatrix`` node and
-  range operations, ``Ring.backward_step``);
-* :mod:`repro.obs.profile` — :func:`profile_query` /
-  :class:`ProfileReport`, the machinery behind ``repro profile``;
+  counters, gauges, per-phase seconds, histograms, an optional span
+  stack) and the no-op default :data:`NULL_METRICS`;
+* :mod:`repro.obs.explain` — ``repro explain``: the plan, and with
+  ``--analyze`` the run's :class:`QueryRecord` next to the estimates
+  (imported lazily, not re-exported here);
 * :mod:`repro.obs.spans` — hierarchical spans (:class:`SpanStack`)
   with Chrome ``chrome://tracing`` export, threaded through the engine
   behind the same hoisted ``enabled`` guards;
@@ -43,24 +40,15 @@ this subpackage makes that accounting first-class:
 
 Operation *counters* of the engine itself (nodes visited vs pruned per
 §4.1–§4.3 phase) live in :class:`repro.core.result.QueryStats` and are
-always collected; this package adds the timers, traces and
-structure-level call counts that are too costly to leave always-on.
+always collected; this package adds the timers, histograms and spans
+that are too costly to leave always-on.
 """
 
-from repro.obs.instrument import (
-    CountingBitVector,
-    CountingWaveletMatrix,
-    instrument_bitvector,
-    instrument_index,
-    instrument_matrix,
-    instrument_ring,
-)
 from repro.obs.export import label_key, prometheus_text
 from repro.obs.flight import FlightRecorder
 from repro.obs.histogram import LogHistogram
 from repro.obs.lifecycle import QueryLifecycle
-from repro.obs.metrics import NULL_METRICS, Metrics, NullMetrics, TraceEvent
-from repro.obs.profile import ProfileReport, profile_query
+from repro.obs.metrics import NULL_METRICS, Metrics, NullMetrics
 from repro.obs.querylog import QueryLogWriter, read_query_log
 from repro.obs.record import QueryRecord
 from repro.obs.slowlog import SlowQueryLog
@@ -76,14 +64,11 @@ from repro.obs.space import (
 from repro.obs.spans import Span, SpanStack
 
 __all__ = [
-    "CountingBitVector",
-    "CountingWaveletMatrix",
     "FlightRecorder",
     "LogHistogram",
     "Metrics",
     "NULL_METRICS",
     "NullMetrics",
-    "ProfileReport",
     "QueryLifecycle",
     "QueryLogWriter",
     "QueryRecord",
@@ -91,18 +76,12 @@ __all__ = [
     "Span",
     "SpaceNode",
     "SpanStack",
-    "TraceEvent",
     "audit_index",
     "audit_manifest",
     "audit_metrics",
     "audit_service",
     "deep_getsizeof",
-    "instrument_bitvector",
-    "instrument_index",
-    "instrument_matrix",
-    "instrument_ring",
     "label_key",
-    "profile_query",
     "prometheus_text",
     "publish_space_gauges",
     "read_query_log",

@@ -7,10 +7,11 @@ and anchor-side choice, and the cost model's pre-execution work
 estimates (:func:`repro.core.planner.estimate_rpq_cost`).
 
 EXPLAIN ANALYZE (``--analyze``) additionally *runs* the query under
-full metrics — phase timers, hierarchical spans, instrumented succinct
-structures — and renders the estimated counts next to the actual
-:class:`~repro.core.result.QueryStats` counters with a misestimation
-ratio per row.  Where the ratio is far from 1 is exactly where the
+full metrics — phase timers and hierarchical spans — and reports it as
+a view of the run's :class:`~repro.obs.record.QueryRecord`, the same
+record a slow log keeps: the estimated counts next to the record's
+counters with a misestimation ratio per row, the per-phase table, and
+the span tree.  Where the ratio is far from 1 is exactly where the
 ``B[v]``/``D[v]`` pruning beats (or loses to) the selectivity-only
 cost view; this estimated-vs-actual discipline follows the evaluation
 methodology of arXiv:2412.07729 and arXiv:2307.14930.
@@ -25,6 +26,7 @@ import json
 import uuid
 from dataclasses import dataclass
 
+from repro.core.engine import offer_slow
 from repro.core.planner import (
     PlanEstimate,
     estimate_rpq_cost,
@@ -32,8 +34,10 @@ from repro.core.planner import (
     query_working_set_bytes,
 )
 from repro.core.query import as_query
+from repro.core.result import ENGINE_PHASES, QueryStats
 from repro.obs.metrics import Metrics
-from repro.obs.profile import ProfileReport, profile_query
+from repro.obs.record import QueryRecord
+from repro.obs.slowlog import SlowQueryLog
 
 
 def plan_dict(index, query, engine=None) -> dict:
@@ -135,7 +139,7 @@ def format_plan(index, query, engine=None) -> str:
 # EXPLAIN ANALYZE
 # ----------------------------------------------------------------------
 
-#: (phase label, metric label, estimate key or None, actual stats attr)
+#: (phase label, metric label, estimate key or None, record counter)
 _COMPARISON_ROWS = (
     ("predicates_from_objects", "nodes_visited", "lp_nodes", "lp_nodes"),
     ("predicates_from_objects", "nodes_pruned", None, "lp_pruned"),
@@ -147,23 +151,50 @@ _COMPARISON_ROWS = (
     ("(all phases)", "storage_ops", "storage_ops", "storage_ops"),
 )
 
+#: Columns of the per-phase table; absent entries render as "-".
+_PHASE_COLUMNS = (
+    "seconds",
+    "descents",
+    "nodes_visited",
+    "nodes_pruned",
+    "empty_ranges",
+    "rank_ops",
+    "backward_steps",
+    "object_ranges",
+    "product_nodes",
+)
+
+
+def _table(rows, left: int) -> list[str]:
+    """``rows`` as aligned text lines: the first ``left`` columns
+    left-justified, the rest right-justified."""
+    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
+    return [
+        "  ".join(
+            cell.ljust(w) if i < left else cell.rjust(w)
+            for i, (cell, w) in enumerate(zip(r, widths))
+        ).rstrip()
+        for r in rows
+    ]
+
 
 @dataclass
 class AnalyzeReport:
-    """Estimated plan next to the measured run."""
+    """The estimated plan next to the run's query record."""
 
     plan: dict
     estimate: PlanEstimate
-    profile: ProfileReport
+    stats: QueryStats
+    record: QueryRecord
     metrics: Metrics
 
     def comparison(self) -> list[dict]:
         """Rows of estimated vs. actual counts with the ratio."""
-        stats = self.profile.stats
+        counters = self.record.counters
         est_counts = self.estimate.counts()
         rows = []
-        for phase, metric, est_key, actual_attr in _COMPARISON_ROWS:
-            actual = getattr(stats, actual_attr)
+        for phase, metric, est_key, counter in _COMPARISON_ROWS:
+            actual = counters[counter]
             estimated = est_counts.get(est_key) if est_key else None
             ratio = None
             if estimated is not None and actual > 0:
@@ -180,10 +211,14 @@ class AnalyzeReport:
     def misestimation(self) -> float | None:
         """Overall estimated/actual storage-op ratio (None when the
         run did no storage work)."""
-        actual = self.profile.stats.storage_ops
+        actual = self.record.counters["storage_ops"]
         if actual <= 0:
             return None
         return self.estimate.storage_ops / actual
+
+    def phases(self) -> dict[str, dict[str, float]]:
+        """The per-phase table: counters with the record's seconds."""
+        return self.stats.phase_breakdown(self.record.phase_seconds)
 
     def routing(self) -> dict | None:
         """Routed runs: the decision with predicted vs. actual seconds.
@@ -197,27 +232,32 @@ class AnalyzeReport:
             return None
         backend = decision["backend"]
         predicted = decision[f"{backend}_seconds"]
-        actual = self.profile.stats.elapsed
+        actual = self.record.elapsed
         return {
             "backend": backend,
-            "ran_backend": self.profile.stats.backend,
+            "ran_backend": self.record.backend,
             "predicted_seconds": predicted,
             "actual_seconds": actual,
             "ratio": (predicted / actual) if actual > 0 else None,
         }
 
     def format(self) -> str:
-        stats = self.profile.stats
-        lines = [self._plan_text]
-        lines.append("")
-        suffix = f"  [id {stats.query_id}]" if stats.query_id else ""
-        via = f" via {stats.backend}" if stats.backend else ""
-        lines.append(
-            f"ANALYZE: {len(self.profile.result)} result(s) in "
-            f"{stats.elapsed * 1e3:.3f} ms{via} "
+        record = self.record
+        flags = [label for label, on in (
+            ("TIMEOUT", record.timed_out), ("TRUNCATED", record.truncated),
+            ("CANCELLED", record.cancelled),
+        ) if on]
+        suffix = f"  [{', '.join(flags)}]" if flags else ""
+        if record.query_id:
+            suffix += f"  [id {record.query_id}]"
+        lines = [
+            self.plan["_text"],
+            "",
+            f"ANALYZE: {record.n_results} result(s) in "
+            f"{record.elapsed * 1e3:.3f} ms via {record.backend} "
             f"(modeled {self.estimate.modeled_seconds * 1e3:.3f} ms)"
-            f"{suffix}"
-        )
+            f"{suffix}",
+        ]
         routing = self.routing()
         if routing is not None:
             ratio = routing["ratio"]
@@ -229,8 +269,7 @@ class AnalyzeReport:
                 f"(est/actual {ratio_text})"
             )
         lines.append("")
-        header = ("phase", "metric", "estimated", "actual", "est/actual")
-        rows = [header]
+        rows = [("phase", "metric", "estimated", "actual", "est/actual")]
         for row in self.comparison():
             rows.append((
                 row["phase"],
@@ -239,16 +278,7 @@ class AnalyzeReport:
                 str(row["actual"]),
                 "-" if row["ratio"] is None else f"{row['ratio']:.2f}x",
             ))
-        widths = [
-            max(len(r[i]) for r in rows) for i in range(len(header))
-        ]
-        for r in rows:
-            lines.append(
-                "  ".join(
-                    cell.ljust(w) if i < 2 else cell.rjust(w)
-                    for i, (cell, w) in enumerate(zip(r, widths))
-                ).rstrip()
-            )
+        lines += _table(rows, left=2)
         overall = self.misestimation()
         if overall is not None:
             lines.append("")
@@ -256,6 +286,18 @@ class AnalyzeReport:
                 f"misestimation: model predicted {overall:.2f}x the "
                 "actual storage ops"
             )
+        lines.append("")
+        phases = self.phases()
+        rows = [("phase", *_PHASE_COLUMNS)]
+        for phase in ENGINE_PHASES:
+            cells = phases[phase]
+            rows.append((phase, *(
+                "-" if column not in cells
+                else f"{cells[column]:.4f}" if column == "seconds"
+                else str(cells[column])
+                for column in _PHASE_COLUMNS
+            )))
+        lines += _table(rows, left=1)
         spans = self.metrics.spans
         if spans is not None and len(spans):
             lines.append("")
@@ -266,26 +308,15 @@ class AnalyzeReport:
             lines.append(spans.format_tree())
         return "\n".join(lines)
 
-    @property
-    def _plan_text(self) -> str:
-        return self.plan["_text"]
-
     def to_dict(self) -> dict:
-        plan = {k: v for k, v in self.plan.items() if k != "_text"}
-        out = {
-            "plan": plan,
-            "query_id": self.profile.stats.query_id,
-            "backend": self.profile.stats.backend,
-            "analyze": self.profile.to_dict(),
+        return {
+            "plan": {k: v for k, v in self.plan.items() if k != "_text"},
+            "record": {**self.record.to_dict(), **self.record.detail()},
+            "phases": self.phases(),
             "comparison": self.comparison(),
             "misestimation": self.misestimation(),
             "routing": self.routing(),
         }
-        spans = self.metrics.spans
-        if spans is not None:
-            out["span_tree"] = spans.tree()
-            out["span_max_depth"] = spans.max_depth()
-        return out
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
@@ -304,34 +335,40 @@ def explain_analyze(
     timeout: float | None = None,
     limit: int | None = None,
     span_capacity: int = 100_000,
-    trace_capacity: int = 0,
     query_id: "str | None" = None,
     engine=None,
 ) -> AnalyzeReport:
-    """Run ``query`` under full telemetry and pair the measured
-    counters with the pre-execution estimates.
+    """Run ``query`` under full telemetry and pair its query record
+    with the pre-execution estimates.
 
-    Each run carries a ``query_id`` (minted when not supplied) stamped
-    onto the stats, the span tree and the report, so an EXPLAIN
+    The record is the one a slow log would keep for this run — it is
+    built by the same intake (:func:`repro.core.engine.offer_slow`), so
+    the report's ``record`` section equals that slow-log entry key for
+    key.  Each run carries a ``query_id`` (minted when not supplied)
+    stamped onto the stats, the span tree and the record, so an EXPLAIN
     ANALYZE can be correlated against a service's slow/query logs for
-    the same query.  ``engine`` overrides the evaluation engine; a
-    routing engine's report additionally carries the decision with
-    predicted vs. actual seconds (:meth:`AnalyzeReport.routing`).
+    the same query.  ``engine`` overrides the evaluation engine (the
+    index's ring engine by default); a routing engine's report
+    additionally carries the decision with predicted vs. actual seconds
+    (:meth:`AnalyzeReport.routing`).
     """
     rpq = as_query(query)
     if query_id is None:
         query_id = f"explain-{uuid.uuid4().hex[:12]}"
+    if engine is None:
+        engine = index.engine
     inputs = plan_inputs(index, rpq)
     plan = plan_dict(index, inputs, engine=engine)
     plan["_text"] = format_plan(index, inputs, engine=engine)
     estimate = estimate_rpq_cost(index, inputs)
-    metrics = Metrics(
-        trace_capacity=trace_capacity, span_capacity=span_capacity
+    metrics = Metrics(span_capacity=span_capacity)
+    result = engine.evaluate(
+        rpq, timeout=timeout, limit=limit, metrics=metrics,
+        query_id=query_id,
     )
-    report = profile_query(
-        index, rpq, timeout=timeout, limit=limit, metrics=metrics,
-        query_id=query_id, engine=engine,
-    )
-    return AnalyzeReport(
-        plan=plan, estimate=estimate, profile=report, metrics=metrics
-    )
+    log = SlowQueryLog(capacity=1)
+    offer_slow(log, str(rpq), result.stats, len(result), engine.name,
+               metrics)
+    (record,) = log.entries()
+    return AnalyzeReport(plan=plan, estimate=estimate, stats=result.stats,
+                         record=record, metrics=metrics)

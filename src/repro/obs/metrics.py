@@ -1,54 +1,27 @@
-"""The metrics registry: counters, phase timers and trace events.
+"""The metrics registry: counters, gauges, phase timers, histograms.
 
 The paper's cost arguments are stated in *index operations* — wavelet
 nodes visited, rank calls, backward-search steps — not in wall-clock
 time (§4.5; likewise the ring paper, arXiv:2111.04556, accounts cost
-per succinct-structure operation).  :class:`Metrics` makes that
-accounting observable: a flat named-counter table, per-phase elapsed
-seconds, and an optional *bounded* ring buffer of trace events plus
-callback hooks for streaming consumers.
+per succinct-structure operation).  Those operations are counted on
+every query by :class:`~repro.core.result.QueryStats`; :class:`Metrics`
+adds what costs too much to leave always on: a flat named-counter
+table, per-phase elapsed seconds, latency histograms and, optionally,
+a bounded span stack.
 
 Everything defaults to :data:`NULL_METRICS`, a no-op sink whose
 ``enabled`` flag is ``False``; hot paths hoist that flag into a local
 and skip all metric work, so the disabled cost is one attribute load
-per coarse-grained call, never per elementary operation.  The succinct
-structures are not instrumented at all by default — see
-:mod:`repro.obs.instrument` for the opt-in class-swap scheme.
+per coarse-grained call, never per elementary operation.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from collections import deque
-from collections.abc import Callable, Iterator
 
 from repro.obs.histogram import DEFAULT_GROWTH, LogHistogram
 from repro.obs.spans import SpanStack
-
-
-class TraceEvent:
-    """One timestamped trace record.
-
-    ``t`` is a :func:`time.monotonic` timestamp (comparable within one
-    process only), ``kind`` a short event name (see
-    ``docs/observability.md`` for the emitted vocabulary) and ``data``
-    a small dict of event fields.
-    """
-
-    __slots__ = ("t", "kind", "data")
-
-    def __init__(self, t: float, kind: str, data: dict):
-        self.t = t
-        self.kind = kind
-        self.data = data
-
-    def to_dict(self) -> dict:
-        """JSON-ready representation."""
-        return {"t": self.t, "kind": self.kind, **self.data}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"TraceEvent({self.kind!r}, t={self.t:.6f}, {self.data!r})"
 
 
 class _PhaseTimer:
@@ -70,15 +43,11 @@ class _PhaseTimer:
 
 
 class Metrics:
-    """A mutable registry of counters, phase timers and trace events.
+    """A mutable registry of counters, gauges, phase timers and
+    histograms.
 
     Parameters
     ----------
-    trace_capacity:
-        Maximum number of retained trace events.  ``0`` (the default)
-        disables the buffer entirely; a positive value keeps the *last*
-        ``trace_capacity`` events (ring-buffer semantics), bounding the
-        memory of even a pathological query.
     span_capacity:
         Maximum number of retained hierarchical spans
         (:class:`repro.obs.spans.SpanStack`).  ``0`` (the default)
@@ -96,9 +65,9 @@ class Metrics:
     enabled = True
 
     __slots__ = ("counters", "gauges", "phase_seconds", "histograms",
-                 "spans", "trace", "_hooks")
+                 "spans")
 
-    def __init__(self, trace_capacity: int = 0, span_capacity: int = 0):
+    def __init__(self, span_capacity: int = 0):
         self.counters: dict[str, int] = {}
         self.gauges: dict[str, float] = {}
         self.phase_seconds: dict[str, float] = {}
@@ -106,10 +75,6 @@ class Metrics:
         self.spans: SpanStack | None = (
             SpanStack(span_capacity) if span_capacity > 0 else None
         )
-        self.trace: deque[TraceEvent] | None = (
-            deque(maxlen=trace_capacity) if trace_capacity > 0 else None
-        )
-        self._hooks: list[Callable[[TraceEvent], None]] = []
 
     # ------------------------------------------------------------------
     # Counters
@@ -182,42 +147,6 @@ class Metrics:
         return _PhaseTimer(self, name)
 
     # ------------------------------------------------------------------
-    # Trace events
-    # ------------------------------------------------------------------
-
-    @property
-    def tracing(self) -> bool:
-        """True when trace events have at least one consumer."""
-        return self.trace is not None or bool(self._hooks)
-
-    def record(self, kind: str, **data) -> None:
-        """Emit one trace event to the ring buffer and all hooks.
-
-        A no-op (beyond building nothing) when :attr:`tracing` is
-        False, but callers on hot paths should check ``tracing``
-        themselves to skip the keyword packing too.
-        """
-        if self.trace is None and not self._hooks:
-            return
-        event = TraceEvent(time.monotonic(), kind, data)
-        if self.trace is not None:
-            self.trace.append(event)
-        for hook in self._hooks:
-            hook(event)
-
-    def add_hook(self, hook: Callable[[TraceEvent], None]) -> None:
-        """Register a callback invoked synchronously on every event."""
-        self._hooks.append(hook)
-
-    def remove_hook(self, hook: Callable[[TraceEvent], None]) -> None:
-        """Unregister a previously added callback."""
-        self._hooks.remove(hook)
-
-    def trace_events(self) -> Iterator[TraceEvent]:
-        """The retained trace events, oldest first."""
-        return iter(self.trace or ())
-
-    # ------------------------------------------------------------------
     # Aggregation / export
     # ------------------------------------------------------------------
 
@@ -238,19 +167,16 @@ class Metrics:
             self.spans.absorb(other.spans)
 
     def reset(self) -> None:
-        """Clear counters, phases, histograms, spans and the trace
-        buffer (hooks stay)."""
+        """Clear counters, gauges, phases, histograms and spans."""
         self.counters.clear()
         self.gauges.clear()
         self.phase_seconds.clear()
         self.histograms.clear()
         if self.spans is not None:
             self.spans.reset()
-        if self.trace is not None:
-            self.trace.clear()
 
     def snapshot(self) -> dict:
-        """Plain-dict view: counters, phases, histograms and traces."""
+        """Plain-dict view: counters, gauges, phases and histograms."""
         return {
             "counters": dict(sorted(self.counters.items())),
             "gauges": dict(sorted(self.gauges.items())),
@@ -259,7 +185,6 @@ class Metrics:
                 name: self.histograms[name].to_dict()
                 for name in sorted(self.histograms)
             },
-            "trace": [e.to_dict() for e in self.trace_events()],
         }
 
     def to_json(self, indent: int | None = 2) -> str:
@@ -269,8 +194,7 @@ class Metrics:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Metrics(counters={len(self.counters)}, "
-            f"phases={len(self.phase_seconds)}, "
-            f"trace={len(self.trace) if self.trace is not None else 'off'})"
+            f"phases={len(self.phase_seconds)})"
         )
 
 
@@ -292,13 +216,12 @@ _NULL_TIMER = _NullPhaseTimer()
 class NullMetrics:
     """The default no-op sink; every method discards its input.
 
-    ``enabled`` and ``tracing`` are plain ``False`` class attributes so
-    guarded hot paths pay only the attribute load.  All instances are
+    ``enabled`` is a plain ``False`` class attribute so guarded hot
+    paths pay only the attribute load.  All instances are
     interchangeable; use the module-level :data:`NULL_METRICS`.
     """
 
     enabled = False
-    tracing = False
     #: Guarded span paths test ``obs.spans`` against None.
     spans = None
 
@@ -330,12 +253,6 @@ class NullMetrics:
     def phase(self, name: str) -> _NullPhaseTimer:
         return _NULL_TIMER
 
-    def record(self, kind: str, **data) -> None:
-        return None
-
-    def trace_events(self) -> Iterator[TraceEvent]:
-        return iter(())
-
     @property
     def counters(self) -> dict[str, int]:
         return {}
@@ -354,7 +271,7 @@ class NullMetrics:
 
     def snapshot(self) -> dict:
         return {"counters": {}, "gauges": {}, "phase_seconds": {},
-                "histograms": {}, "trace": []}
+                "histograms": {}}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "NULL_METRICS"

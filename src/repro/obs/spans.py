@@ -16,9 +16,11 @@ Design constraints, in order:
 2. **Cheap when on.**  ``start``/``end`` are a handful of attribute
    writes and one ``perf_counter`` call each; no dict allocation unless
    the caller attaches attributes.
-3. **Bounded.**  At most ``capacity`` spans are retained; past that,
-   new spans are timed but dropped on ``end`` (``dropped`` counts
-   them), so a pathological query cannot exhaust memory.
+3. **Bounded, roots first.**  At most ``capacity`` spans are retained,
+   the first ``capacity`` to *start*; past that, new spans are timed
+   but not kept (``dropped`` counts them), so a pathological query
+   cannot exhaust memory, and a full stack still holds the roots and
+   upper levels of the tree rather than its first-finished leaves.
 4. **Robust to exceptions.**  ``end(span)`` closes any still-open
    descendants first (a timeout raised mid-wave must not corrupt the
    stack for the enclosing phase span).
@@ -69,8 +71,9 @@ class Span:
 class SpanStack:
     """Collects spans for one query (or one batch of queries).
 
-    Spans are recorded in *end* order internally but reported in
-    *start* order, which is also valid Chrome-trace order.  The stack
+    Spans are retained in *start* order, which is also valid
+    Chrome-trace order; a span is in :attr:`spans` from its
+    :meth:`start`, and its end time is set by :meth:`end`.  The stack
     is not thread-safe — like :class:`~repro.obs.metrics.Metrics`, use
     one per thread.
     """
@@ -98,6 +101,10 @@ class SpanStack:
                     parent.depth + 1 if parent is not None else 0,
                     perf_counter())
         open_spans.append(span)
+        if len(self.spans) < self.capacity:
+            self.spans.append(span)
+        else:
+            self.dropped += 1
         return span
 
     def end(self, span: Span) -> None:
@@ -109,10 +116,6 @@ class SpanStack:
         while open_spans:
             top = open_spans.pop()
             top.t1 = now
-            if len(self.spans) < self.capacity:
-                self.spans.append(top)
-            else:
-                self.dropped += 1
             if top is span:
                 return
         # `span` was not on the stack (already closed): record the
@@ -124,7 +127,7 @@ class SpanStack:
         return _SpanContext(self, name)
 
     def absorb(self, other: "SpanStack") -> None:
-        """Fold another stack's *completed* spans into this one.
+        """Fold another stack's retained spans into this one.
 
         This is how per-worker registries surface their spans in a
         service-wide registry: sids are re-numbered into this stack's
@@ -150,11 +153,11 @@ class SpanStack:
         return len(self.spans)
 
     def ordered(self) -> list[Span]:
-        """All completed spans in start order."""
-        return sorted(self.spans, key=lambda s: s.sid)
+        """All retained spans in start order."""
+        return list(self.spans)
 
     def max_depth(self) -> int:
-        """Depth of the deepest completed span (root = 0); -1 if empty."""
+        """Depth of the deepest retained span (root = 0); -1 if empty."""
         if not self.spans:
             return -1
         return max(span.depth for span in self.spans)

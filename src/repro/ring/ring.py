@@ -172,8 +172,8 @@ class Ring:
         #: Observability sink for the *coarse* batch entry points
         #: (``backward_step_many`` / ``object_ranges_many``); the engine
         #: installs its registry here for the span of one ``evaluate``.
-        #: Scalar per-operation methods stay uninstrumented — see
-        #: :mod:`repro.obs.instrument` for the opt-in class swap.
+        #: Scalar per-operation methods take no sink: their cost is
+        #: counted in the query's ``QueryStats``.
         self.obs = NULL_METRICS
 
         if n:

@@ -39,44 +39,23 @@ class TestQuery:
         assert "TRUNCATED" in out.err
 
 
-class TestProfile:
-    def test_profile_prints_phase_table(self, graph_file, capsys):
-        rc = main(["profile", graph_file, "(n0, next+, ?y)"])
+class TestExplainAnalyze:
+    def test_profile_is_not_a_subcommand(self, graph_file, capsys):
+        """The per-phase table is part of ``explain --analyze``; there
+        is no separate ``profile`` command."""
+        with pytest.raises(SystemExit) as info:
+            main(["profile", graph_file, "(n0, next+, ?y)"])
+        assert info.value.code == 2
+        assert "invalid choice: 'profile'" in capsys.readouterr().err
+
+    def test_analyze_prints_the_phase_table(self, graph_file, capsys):
+        rc = main(["explain", graph_file, "(n0, next+, ?y)", "--analyze"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "predicates_from_objects" in out
-        assert "subjects_from_predicates" in out
-        assert "subjects_to_objects" in out
-        assert "storage ops" in out
-
-    def test_profile_json(self, graph_file, capsys):
-        import json
-
-        rc = main(["profile", graph_file, "(?x, next+, ?y)", "--json"])
-        assert rc == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["query"] == "(?x, next+, ?y)"
-        assert report["operation_counts"]["storage_ops"] > 0
-        assert set(report["phases"]) == {
-            "predicates_from_objects",
-            "subjects_from_predicates",
-            "subjects_to_objects",
-        }
-
-    def test_profile_trace_dump(self, graph_file, tmp_path, capsys):
-        import json
-
-        trace_file = tmp_path / "trace.json"
-        rc = main([
-            "profile", graph_file, "(n0, next+, ?y)",
-            "--trace", str(trace_file),
-        ])
-        assert rc == 0
-        assert "trace written" in capsys.readouterr().err
-        dump = json.loads(trace_file.read_text())
-        assert dump["trace"], "trace events must have been retained"
-        kinds = {event["kind"] for event in dump["trace"]}
-        assert "query" in kinds
+        for phase in ("predicates_from_objects",
+                      "subjects_from_predicates", "subjects_to_objects"):
+            assert phase in out
+        assert "object_ranges" in out
 
 
 class TestMatch:

@@ -75,9 +75,10 @@ def test_routed_explain_analyze_reports_backend():
         assert routing is not None
         assert routing["backend"] in ("ring", "matrix")
         # The chosen backend is the one that actually ran.
-        assert report.profile.stats.backend == routing["backend"]
+        assert report.stats.backend == routing["backend"]
+        assert report.record.backend == routing["backend"]
         assert routing["predicted_seconds"] > 0
-        assert routing["actual_seconds"] == report.profile.stats.elapsed
+        assert routing["actual_seconds"] == report.record.elapsed
         # Both sides of the est-vs-actual comparison surface in the
         # rendered report too.
         text = report.format()
@@ -85,7 +86,7 @@ def test_routed_explain_analyze_reports_backend():
         assert "est/actual" in text
         as_dict = report.to_dict()
         assert as_dict["routing"]["backend"] == routing["backend"]
-        assert as_dict["backend"] == routing["backend"]
+        assert as_dict["record"]["backend"] == routing["backend"]
 
 
 #: ``(backend, ring_seconds, matrix_seconds)`` of three

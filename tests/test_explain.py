@@ -6,9 +6,11 @@ import json
 
 import pytest
 
+from repro.core.engine import RingRPQEngine
 from repro.core.planner import estimate_rpq_cost
 from repro.cli import main
 from repro.obs.explain import explain_analyze, format_plan, plan_dict
+from repro.obs.slowlog import SlowQueryLog
 
 
 class TestEstimate:
@@ -98,10 +100,29 @@ class TestAnalyze:
 
     def test_to_dict_serialisable(self, report):
         dump = json.loads(report.to_json())
-        assert dump["analyze"]["schema_version"] == 2
-        assert dump["span_max_depth"] >= 3
+        record = dump["record"]
+        assert record["query_id"].startswith("explain-")
+        assert record["counters"]["backward_steps"] > 0
+        assert record["span_tree"][0]["name"] == "query"
         assert dump["comparison"]
         assert "_text" not in dump["plan"]
+
+    def test_analyze_record_is_the_slow_log_record(self, kg_index):
+        """The report's ``record`` is what a one-slot slow log on the
+        same engine keeps for the same run: the same keys and counters
+        — every value but the wall-clock ``ts``, in fact."""
+        slow_log = SlowQueryLog(capacity=1)
+        engine = RingRPQEngine(kg_index, slow_log=slow_log)
+        report = explain_analyze(kg_index, "(?x, p0/p1*, ?y)",
+                                 engine=engine)
+        (entry,) = slow_log.to_dict()["entries"]
+        record = report.to_dict()["record"]
+        assert set(record) == set(entry)
+        assert record["counters"] == entry["counters"]
+        assert record["counters"]["backward_steps"] > 0
+        record.pop("ts")
+        entry.pop("ts")
+        assert record == entry
 
     def test_write_chrome_trace(self, report, tmp_path):
         path = tmp_path / "trace.json"

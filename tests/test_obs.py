@@ -1,15 +1,15 @@
-"""Tests for the observability layer: metrics, instrumentation, profiling.
+"""Tests for the observability layer: metrics, counters, profiling.
 
 Three layers of guarantees:
 
 * the :class:`~repro.obs.metrics.Metrics` registry itself (counters,
-  phase timers, bounded trace ring buffer, hooks, null sink);
+  phase timers, histograms, null sink);
 * the engine's per-phase operation counters, including the bucket
   invariant *visited + pruned + empty = descents + children* per
   wavelet descent and ``pruned > 0`` on selective queries;
-* the class-swap instrumentation and :func:`profile_query`, including
-  the ``_Budget.tick`` timeout regression (partial stats must carry the
-  counters accumulated before the deadline).
+* the per-phase profile of EXPLAIN ANALYZE, and the ``_Budget.tick``
+  timeout regression (partial stats must carry the counters
+  accumulated before the deadline).
 """
 
 from __future__ import annotations
@@ -26,20 +26,9 @@ import repro.core.engine as engine_mod
 from repro.core.engine import RingRPQEngine, _Budget
 from repro.core.result import ENGINE_PHASES, QueryStats
 from repro.errors import QueryTimeoutError
-from repro.obs import (
-    CountingBitVector,
-    CountingWaveletMatrix,
-    Metrics,
-    NullMetrics,
-    instrument_bitvector,
-    instrument_index,
-    instrument_matrix,
-    instrument_ring,
-    profile_query,
-)
+from repro.obs import Metrics, NullMetrics
+from repro.obs.explain import explain_analyze
 from repro.obs.metrics import NULL_METRICS
-from repro.succinct.bitvector import BitVector
-from repro.succinct.wavelet_matrix import WaveletMatrix
 from repro.testing import random_query
 
 
@@ -67,38 +56,6 @@ class TestMetrics:
         m.add_phase("build", 1.0)
         assert m.phase_seconds["build"] >= 1.0
 
-    def test_trace_buffer_is_bounded(self):
-        m = Metrics(trace_capacity=3)
-        assert m.tracing
-        for i in range(7):
-            m.record("step", i=i)
-        events = list(m.trace_events())
-        assert [e.data["i"] for e in events] == [4, 5, 6]
-        assert all(e.kind == "step" for e in events)
-
-    def test_tracing_off_by_default(self):
-        m = Metrics()
-        assert not m.tracing
-        m.record("ignored")  # no consumer: must be a silent no-op
-        assert list(m.trace_events()) == []
-
-    def test_hooks(self):
-        m = Metrics()
-        seen = []
-        m.add_hook(seen.append)
-        assert m.tracing
-        m.record("evt", a=1)
-        assert len(seen) == 1 and seen[0].data == {"a": 1}
-        m.remove_hook(seen.append)
-        assert not m.tracing
-
-    def test_event_to_dict(self):
-        m = Metrics(trace_capacity=1)
-        m.record("evt", node=3)
-        (event,) = m.trace_events()
-        d = event.to_dict()
-        assert d["kind"] == "evt" and d["node"] == 3 and "t" in d
-
     def test_merge_and_reset(self):
         a, b = Metrics(), Metrics()
         a.inc("x", 2)
@@ -111,22 +68,19 @@ class TestMetrics:
         assert a.counters == {} and a.phase_seconds == {}
 
     def test_snapshot_json_round_trips(self):
-        m = Metrics(trace_capacity=2)
+        m = Metrics()
         m.inc("ops")
         m.add_phase("total", 0.1)
-        m.record("evt", k=1)
         snap = json.loads(m.to_json())
         assert snap["counters"] == {"ops": 1}
         assert snap["phase_seconds"] == {"total": 0.1}
-        assert snap["trace"][0]["kind"] == "evt"
 
     def test_null_metrics_is_inert(self):
         n = NULL_METRICS
         assert isinstance(n, NullMetrics)
-        assert not n.enabled and not n.tracing
+        assert not n.enabled
         n.inc("x", 10)
         n.add_phase("p", 1.0)
-        n.record("evt", a=1)
         n.observe("lat", 0.5)
         with n.phase("p"):
             pass
@@ -134,12 +88,11 @@ class TestMetrics:
         assert n.counters == {} and n.phase_seconds == {}
         assert n.histograms == {} and n.histogram("lat") is None
         assert n.spans is None
-        assert list(n.trace_events()) == []
         n.set_gauge("g", 1.0)
         assert n.gauge("g") == 0.0 and n.gauges == {}
         assert n.snapshot() == {
             "counters": {}, "gauges": {}, "phase_seconds": {},
-            "histograms": {}, "trace": []
+            "histograms": {},
         }
 
 
@@ -197,18 +150,6 @@ class TestMetricsProperties:
         a.merge(b)
         for name in set(xs) | set(ys):
             assert a.count(name) == xs.get(name, 0) + ys.get(name, 0)
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.integers(min_value=1, max_value=16),
-           st.integers(min_value=0, max_value=64))
-    def test_trace_ring_buffer_bounded_keeps_newest(self, capacity, n):
-        m = Metrics(trace_capacity=capacity)
-        for i in range(n):
-            m.record("step", i=i)
-        events = list(m.trace_events())
-        assert len(events) <= capacity
-        expected = list(range(max(0, n - capacity), n))
-        assert [e.data["i"] for e in events] == expected
 
 
 # ----------------------------------------------------------------------
@@ -311,7 +252,7 @@ class TestEngineCounters:
         query = "(?x, (p0|p1)+, ?y)"
         plain = kg_index.engine.evaluate(query)
         profiled = kg_index.engine.evaluate(
-            query, metrics=Metrics(trace_capacity=100)
+            query, metrics=Metrics(span_capacity=100)
         )
         assert plain.pairs == profiled.pairs
 
@@ -408,8 +349,7 @@ class TestNullMetricsDifferential:
             assert engine.metrics is NULL_METRICS
             assert kg_index.ring.obs is NULL_METRICS
             full = engine.evaluate(
-                query, metrics=Metrics(trace_capacity=1_000,
-                                       span_capacity=100_000)
+                query, metrics=Metrics(span_capacity=100_000)
             )
             assert plain.pairs == full.pairs, query
             plain_stats = dataclasses.asdict(plain.stats)
@@ -424,88 +364,10 @@ class TestNullMetricsDifferential:
         n = NULL_METRICS
         assert n.counters == {} and n.phase_seconds == {}
         assert n.histograms == {} and n.spans is None
-        assert list(n.trace_events()) == []
 
 
 # ----------------------------------------------------------------------
-# Class-swap instrumentation
-# ----------------------------------------------------------------------
-
-
-class TestInstrumentation:
-    def test_bitvector_counts_and_restores(self):
-        bv = BitVector([1, 0, 1, 1, 0, 1])
-        m = Metrics()
-        with instrument_bitvector(bv, m):
-            assert type(bv) is CountingBitVector
-            bv.rank1(4)
-            bv.rank0(4)  # delegates to rank1: counts one more rank
-            bv.select1(2)
-            bv.select0(1)
-        assert type(bv) is BitVector
-        assert m.count("bitvector.rank") == 2
-        assert m.count("bitvector.select") == 2
-
-    def test_matrix_counts_and_restores(self):
-        wm = WaveletMatrix([3, 1, 4, 1, 5, 2, 0, 5], 6)
-        plain = list(wm.range_distinct(0, 8))
-        m = Metrics()
-        with instrument_matrix(wm, m):
-            assert type(wm) is CountingWaveletMatrix
-            assert list(wm.range_distinct(0, 8)) == plain
-            wm.rank(1, 5)
-            wm.rank_pair(5, 0, 8)
-        assert type(wm) is WaveletMatrix
-        assert all(type(bv) is BitVector for bv in wm._levels)
-        assert m.count("wavelet.range_distinct") == 1
-        assert m.count("wavelet.rank") == 1
-        assert m.count("wavelet.rank_pair") == 1
-        assert m.count("wavelet.node") > 0
-
-    def test_second_registry_is_rejected(self):
-        wm = WaveletMatrix([0, 1], 2)
-        other = WaveletMatrix([1, 0], 2)
-        with instrument_matrix(wm, Metrics()):
-            with pytest.raises(RuntimeError):
-                with instrument_matrix(other, Metrics()):
-                    pass  # pragma: no cover
-        # and the failed claim must not have poisoned the sink
-        assert CountingWaveletMatrix._obs is NULL_METRICS
-
-    def test_nesting_same_registry_is_fine(self):
-        wm = WaveletMatrix([0, 1, 1], 2)
-        m = Metrics()
-        with instrument_matrix(wm, m):
-            with instrument_matrix(wm, m):
-                wm.rank(1, 3)
-            # inner exit must not disconnect the outer instrumentation
-            wm.rank(0, 3)
-        assert m.count("wavelet.rank") == 2
-        assert CountingWaveletMatrix._obs is NULL_METRICS
-
-    def test_ring_wrapper_counts_and_restores(self, small_index):
-        ring = small_index.ring
-        m = Metrics()
-        b, e = ring.full_range()
-        with instrument_ring(ring, m):
-            ring.backward_step(b, e, 1)
-        assert "backward_step" not in ring.__dict__
-        assert m.count("ring.backward_step") == 1
-
-    def test_instrument_index_restores_everything(self, small_index):
-        ring = small_index.ring
-        with instrument_index(small_index, Metrics()):
-            assert type(ring.L_p) is CountingWaveletMatrix
-            assert type(ring.L_s) is CountingWaveletMatrix
-        assert type(ring.L_p) is WaveletMatrix
-        assert type(ring.L_s) is WaveletMatrix
-        assert "backward_step" not in ring.__dict__
-        assert CountingWaveletMatrix._obs is NULL_METRICS
-        assert CountingBitVector._obs is NULL_METRICS
-
-
-# ----------------------------------------------------------------------
-# profile_query / ProfileReport
+# The per-phase profile of EXPLAIN ANALYZE
 # ----------------------------------------------------------------------
 
 
@@ -516,72 +378,46 @@ class TestProfileQuery:
     ])
     def test_nonzero_consistent_phase_counters(self, kg_index, query,
                                                shape):
-        report = profile_query(kg_index, query, trace_capacity=500)
-        assert report.shape == shape
+        report = explain_analyze(kg_index, query)
+        assert report.plan["shape"] == shape
         stats = report.stats
-        assert len(report.result) > 0
+        assert report.record.n_results > 0
         assert stats.lp_nodes > 0 and stats.lp_pruned > 0
         assert stats.backward_steps > 0
         _assert_bucket_invariants(stats, query)
         # the inlined descents account their rank work arithmetically
-        assert stats.operation_counts()["rank_ops"] == \
+        assert report.record.counters["rank_ops"] == \
             stats.lp_children + stats.ls_children > 0
         # phase timers measured for the engine phases that ran
-        assert report.metrics.phase_seconds["total"] > 0.0
-        breakdown = report.breakdown()
-        assert set(breakdown) == set(ENGINE_PHASES)
-        assert breakdown["predicates_from_objects"]["nodes_visited"] == \
+        assert report.record.phase_seconds["total"] > 0.0
+        phases = report.phases()
+        assert set(phases) == set(ENGINE_PHASES)
+        assert phases["predicates_from_objects"]["nodes_visited"] == \
             stats.lp_nodes
-        assert breakdown["subjects_from_predicates"]["nodes_pruned"] == \
+        assert phases["subjects_from_predicates"]["nodes_pruned"] == \
             stats.ls_pruned
 
-    def test_fast_path_hits_method_level_counters(self, kg_index):
-        """The §5 fast paths run on the array kernels, which the
-        instrumentation counts per range — the totals k scalar calls
-        would give — next to the arithmetic ``stats.storage_ops``.  The
-        per-rank ``bitvector.rank`` counter belongs to the scalar
-        method-call path: the ``batch=False`` reference hits it."""
-        report = profile_query(kg_index, "(?x, p0, ?y)")
-        assert len(report.result) > 0
-        subjects = {s for s, _ in report.result.pairs}
-        assert report.metrics.count("ring.backward_step") == len(subjects)
-        # one listing of the subjects, one listing per subject
-        assert report.metrics.count("wavelet.range_distinct") == \
-            1 + len(subjects)
-        assert report.metrics.count("bitvector.rank") == 0
-        assert report.stats.backward_steps == len(subjects)
-        assert report.stats.storage_ops > 0
-
-        scalar = profile_query(
-            kg_index, "(?x, p0, ?y)",
-            engine=RingRPQEngine(kg_index, batch=False),
-        )
-        assert scalar.result.pairs == report.result.pairs
-        assert scalar.stats.storage_ops == report.stats.storage_ops
-        for name in ("ring.backward_step", "wavelet.range_distinct"):
-            assert scalar.metrics.count(name) == report.metrics.count(name)
-        assert scalar.metrics.count("bitvector.rank") > 0
-
     def test_format_table_and_json(self, kg_index):
-        report = profile_query(
-            kg_index, "(?x, p0+, ?y)", trace_capacity=50
-        )
-        table = report.format_table()
+        report = explain_analyze(kg_index, "(?x, p0+, ?y)")
+        table = report.format()
         for phase in ENGINE_PHASES:
             assert phase in table
-        assert "storage ops" in table
+        assert "nodes_visited" in table and "object_ranges" in table
         dump = json.loads(report.to_json())
-        assert dump["query"] == "(?x, p0+, ?y)"
-        assert dump["operation_counts"]["backward_steps"] > 0
-        assert len(dump["trace"]) > 0
-        kinds = {event["kind"] for event in dump["trace"]}
-        assert "query" in kinds or "step" in kinds
+        assert dump["record"]["query"] == "(?x, p0+, ?y)"
+        assert dump["record"]["counters"]["backward_steps"] > 0
+        assert set(dump["phases"]) == set(ENGINE_PHASES)
+        assert dump["phases"]["subjects_to_objects"]["object_ranges"] == \
+            dump["record"]["counters"]["object_ranges"]
 
     def test_accumulating_registry(self, small_index):
+        """One registry passed to several evaluations accumulates
+        them all."""
         m = Metrics()
-        profile_query(small_index, "(?x, p0, ?y)", metrics=m)
-        profile_query(small_index, "(?x, p1, ?y)", metrics=m)
+        small_index.engine.evaluate("(?x, p0, ?y)", metrics=m)
+        small_index.engine.evaluate("(?x, p1, ?y)", metrics=m)
         assert m.count("engine.queries") == 2
+        assert m.histogram("query.seconds").count == 2
 
 
 # ----------------------------------------------------------------------

@@ -19,16 +19,16 @@ import pytest
 
 import repro.core.engine as engine_mod
 from repro.core.engine import RingRPQEngine
+from repro.graph.generators import chain_graph
 from repro.matrix.engine import MatrixRPQEngine
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import Metrics
 from repro.obs.querylog import QueryLogWriter, read_query_log
 from repro.obs.slowlog import SlowQueryLog
+from repro.ring.builder import RingIndex
 from repro.serve.pool import ProcessQueryService
 from repro.serve.service import QueryService
 
-# Light enough (20 spans) that the worker-local 64-span stack keeps the
-# roots of its tree: spans are retained in end order, roots end last.
 MISS = "(?x, p2+, ?y)"
 VICTIM = "(?x, (p0|p1)+, ?y)"
 BROKEN = "(?x, p1*, ?y)"
@@ -130,6 +130,29 @@ def test_every_sink_is_a_view_of_one_record(pool, kg_index, tmp_path):
     assert metrics.histogram("serve.stage.cache_hit").count == 1
     assert metrics.count("serve.completed") == 2
     assert metrics.count("serve.errors") == 1
+
+
+@pytest.mark.concurrency
+@pytest.mark.parametrize("pool", ["threads", "processes"])
+def test_an_overflowing_span_tree_keeps_its_roots(pool):
+    """Both tiers give each worker a 64-span stack.  A query with more
+    spans than that (a closure over a 40-edge chain runs ~40 waves)
+    still leaves a slow-log tree rooted at ``worker:<id>`` → ``query``:
+    the stack keeps the spans that started first, not the leaves that
+    closed first."""
+    slow_log = SlowQueryLog(capacity=1)
+    index = RingIndex.from_graph(chain_graph(40))
+    service = _service(pool, index, metrics=Metrics(span_capacity=512),
+                       slow_log=slow_log)
+    try:
+        service.evaluate("(?x, next+, ?y)", timeout=60)
+    finally:
+        service.close()
+    (entry,) = slow_log.to_dict()["entries"]
+    assert entry["span_digest"]["spans"] > 64
+    (root,) = entry["span_tree"]
+    assert root["name"] == "worker:0"
+    assert [child["name"] for child in root["children"]] == ["query"]
 
 
 class _Set:

@@ -31,7 +31,7 @@ class TestRecording:
         c = stack.start("c")
         stack.end(c)
         stack.end(a)
-        # internally end-ordered (b, c, a); reported in start order
+        # retained and reported in start order, not end order (b, c, a)
         assert [s.name for s in stack.ordered()] == ["a", "b", "c"]
 
     def test_duration_non_negative_and_monotonic(self):
@@ -96,6 +96,24 @@ class TestCapacity:
         # the earliest spans were kept (retention is first-come)
         assert [s.name for s in stack.ordered()] == \
             [f"s{i}" for i in range(5)]
+
+    def test_a_full_stack_keeps_the_roots(self):
+        """Retention is by start, so an overflowing tree keeps its root
+        and upper levels, not the leaves that closed first."""
+        stack = SpanStack(capacity=4)
+        root = stack.start("worker:0")
+        query = stack.start("query")
+        for i in range(10):
+            wave = stack.start(f"wave{i}")
+            stack.end(stack.start("step"))
+            stack.end(wave)
+        stack.end(query)
+        stack.end(root)
+        assert stack.dropped == 18
+        (tree,) = stack.tree()
+        assert tree["name"] == "worker:0"
+        assert [c["name"] for c in tree["children"]] == ["query"]
+        assert tree["duration"] >= tree["children"][0]["duration"] > 0
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=1, max_value=16),
