@@ -216,6 +216,44 @@ def test_phase2_arrays_beat_the_reference(bench_index):
     assert on <= off / 3, f"batched {on:.4f}s vs reference {off:.4f}s"
 
 
+#: Constant-object closures whose backward BFS waves grow wide.
+WIDE_ANCHORED_QUERIES = [
+    f"(?x, p1/p0*, n{node})" for node in (0, 3, 6, 9)
+]
+
+
+def test_wide_anchored_runs_beat_the_scalar_walk():
+    """Single-anchor runs on the array kernel once their waves are
+    wide, gated: ``batch=True`` must take at most two thirds of the
+    ``batch=False`` reference's time, for the same pairs and counters.
+
+    When every single-anchor run walked entry by entry the two took
+    the same time here; with the switch to the array kernel at wide
+    waves the reference takes about twice as long.
+    """
+    from repro.core.engine import RingRPQEngine
+    from repro.graph.generators import wikidata_like
+    from repro.ring.builder import RingIndex
+
+    index = RingIndex.from_graph(wikidata_like(4000, 16000, 48, seed=0))
+    batched = RingRPQEngine(index, batch=True)
+    reference = RingRPQEngine(index, batch=False)
+
+    def run(engine):
+        return [
+            (result.pairs, result.stats.operation_counts())
+            for result in (engine.evaluate(query, timeout=10.0)
+                           for query in WIDE_ANCHORED_QUERIES)
+        ]
+
+    assert run(batched) == run(reference)
+    on = _best_of(lambda: run(batched), repeats=5)
+    off = _best_of(lambda: run(reference), repeats=5)
+    print(f"\nwide anchored reference / batched: {off / on:.2f}x "
+          f"(batched {on * 1e3:.1f} ms, reference {off * 1e3:.1f} ms)")
+    assert on <= off * 2 / 3, f"batched {on:.4f}s vs reference {off:.4f}s"
+
+
 def test_wavelet_descend_batch(benchmark, matrix):
     """Level-synchronous batched descent over many ranges at once;
     asserts it reports exactly what per-range ``range_distinct`` does."""

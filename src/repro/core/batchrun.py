@@ -7,8 +7,9 @@ BFS generation).  Every entry can be expanded on its own — one stack
 walk of ``L_p`` pruned by the ``B[v]`` masks, and at each accepted
 predicate leaf one stack walk of ``L_s`` pruned by the ``D[v]`` marks,
 all on Python ints — and that is the whole algorithm.  Where a frontier
-is wide — in a multi-anchor run (:meth:`BatchedBackwardRun.run_many`)
-— the same work runs on whole frontiers instead:
+is wide — in a multi-anchor run (:meth:`BatchedBackwardRun.run_many`),
+a full-range start, or a single-anchor run whose waves have grown —
+the same work runs on whole frontiers instead:
 
 * all L_p descents of a wave merge into one level-synchronous frontier
   — the ``B[v]`` mask pruning of §4.1 becomes a numpy boolean filter
@@ -24,12 +25,20 @@ is wide — in a multi-anchor run (:meth:`BatchedBackwardRun.run_many`)
   steps are whole-frontier filters with ``np.searchsorted`` lookups
   into the marks, merged back once per level.
 
-What decides: a single-anchor run (:meth:`BatchedBackwardRun.run`)
-always expands entry by entry; a multi-anchor run takes the array path
-for every wave when the automaton's masks fit an ``int64`` column
-(``prepared.mask_levels`` is None for more than 63 states).  An engine
-built with ``batch=False`` never merges — the reference the
-differential tests hold the merged paths to.
+What decides: the array path needs the automaton's masks to fit an
+``int64`` column (``prepared.mask_levels`` is None for more than 63
+states).  Then a multi-anchor run takes it for every wave, and so does
+the full-range start of a v-to-v first pass, whose ``D`` and ``D[v]``
+lookups default to its base mark instead of 0.  A single-anchor run
+(:meth:`BatchedBackwardRun.run`) starts entry by entry and moves to the
+array path, one way, at the first pending wave of ``_ARRAY_WAVE_MIN``
+entries: its dict tables become the sorted columns, its wave the entry
+columns, and the reports and the cap count carry over.  Narrow waves
+stay on the stack walk, which costs no per-level numpy dispatch.  The
+switch falls between two waves, and the array path does each wave's
+work in the sequential order, so the run is the one the stack walk
+would have made.  An engine built with ``batch=False`` never merges —
+the reference the differential tests hold the merged paths to.
 
 Correctness of the reordering:
 
@@ -61,11 +70,12 @@ counts as ``k`` in every bucket, so the PR-1 invariants
 (``lp_nodes + lp_pruned + lp_empty == lp_descents + lp_children`` and
 the L_s analogue) keep holding and the engine-level differential test
 can assert merged == unmerged counter for counter.  The only divergence
-is on a multi-anchor run that hits its result cap: a merged wave has
-already accounted the whole L_p leaf scan, and a merged L_s descent
-all its internal levels, where the entry-by-entry walk stops
-mid-scan.  Reported *results* are identical either way, because
-leaves are processed in the same order up to the stopping point.
+is on an array run that stops early — at a cap, or at a ``cc`` target
+reached after the switch: a merged wave has already accounted the whole
+L_p leaf scan, and a merged L_s descent all its internal levels, where
+the entry-by-entry walk stops mid-scan.  Reported *results* are
+identical either way, because leaves are processed in the same order
+up to the stopping point.
 
 Timeout ticks fire only at *balanced* points — end of an L_p wave, end
 of an entry's expansion or of an L_s descent — at a carry-accumulated
@@ -92,6 +102,11 @@ from repro.automata.glushkov import GlushkovAutomaton
 #: One timeout tick per this many processed wavelet nodes.
 _TICK_GRAIN = 256
 
+#: A single-anchor run moves to the array kernel, for good, at the
+#: first pending wave of this many entries (docs/performance.md,
+#: "Thresholds").
+_ARRAY_WAVE_MIN = 32
+
 
 def _children(level_data, z, prefix, b, e):
     """The ``[left, right]`` children of a frontier at one wavelet
@@ -112,13 +127,21 @@ def _children(level_data, z, prefix, b, e):
     return next_prefix, next_b, next_e
 
 
-def _marks_of(keys, marks, query):
-    """The mark of each ``query`` key in the sorted table, 0 if absent."""
+def _marks_of(keys, marks, query, base):
+    """The mark of each ``query`` key in the sorted table, OR-ed with
+    ``base``: the mark every key carries (0, or a full-range start's)."""
     if not len(keys):
-        return np.zeros(len(query), dtype=np.int64)
+        return np.full(len(query), base, dtype=np.int64)
     pos = np.searchsorted(keys, query)
     np.minimum(pos, len(keys) - 1, out=pos)
-    return np.where(keys[pos] == query, marks[pos], 0)
+    return np.where(keys[pos] == query, marks[pos] | base, base)
+
+
+def _table(keys, masks):
+    """A sorted ``(key, mask)`` table from lists of distinct keys."""
+    keys = np.asarray(keys, dtype=np.int64)
+    order = np.argsort(keys)
+    return keys[order], np.asarray(masks, dtype=np.int64)[order]
 
 
 def _earlier_or(keys, masks):
@@ -216,9 +239,25 @@ class BatchedBackwardRun:
         reportable).  ``target`` enables the early exit of fixed-fixed
         queries; ``max_reported`` implements the result cap.
         """
-        return self._run(
-            [start_node], [start_range], max_reported, target
-        )[0]
+        # A full-range start is one wide wave from its first step.
+        if self.merge and start_node is None:
+            go = self._run_arrays
+        else:
+            go = self._run
+        return go([start_node], [start_range], max_reported, target)[0]
+
+    def visited_masks(self, ai: int = 0) -> dict[int, int]:
+        """Anchor ``ai``'s ``D`` table as ``{node: state set}``, read
+        from whichever form the run ended in."""
+        if self.d_table is None:
+            return dict(self.visited[ai])
+        keys, marks = self.d_table
+        n_nodes = self.engine.ring.num_nodes
+        row = keys // n_nodes == ai
+        return dict(zip(
+            (keys[row] % n_nodes).tolist(),
+            (marks[row] | self.base_mask).tolist(),
+        ))
 
     def run_many(
         self,
@@ -239,29 +278,38 @@ class BatchedBackwardRun:
 
     # ------------------------------------------------------------------
 
-    def _run(self, anchors, start_ranges, max_reported, target):
-        automaton = self.prepared.automaton
-        start_mask = automaton.final_mask
+    def _begin(self, anchors, max_reported, target) -> bool:
+        """Reset the per-run state; False when there is nothing to run."""
         k = len(anchors)
         self.reported = [set() for _ in range(k)]
-        if start_mask == 0 or k == 0:
-            return self.reported
-        self.visited = [dict() for _ in range(k)]
-        self.vnode_visited = [dict() for _ in range(k)]
         self.max_reported = max_reported
         self.target = target
         self.total_reported = 0
         self.done = False
-        self.base_mask = 0
+        self.d_table = None
+        # A full-range start treats every node as already visited with
+        # the final states, minus the initial one (it must stay
+        # reportable): the mark every D and D[v] lookup starts from.
+        start_mask = self.prepared.automaton.final_mask
+        self.base_mask = (
+            start_mask & ~GlushkovAutomaton.INITIAL_MASK
+            if None in anchors else 0
+        )
+        return start_mask != 0 and k != 0
+
+    def _run(self, anchors, start_ranges, max_reported, target):
+        if not self._begin(anchors, max_reported, target):
+            return self.reported
+        automaton = self.prepared.automaton
+        start_mask = automaton.final_mask
+        k = len(anchors)
+        self.visited = [dict() for _ in range(k)]
+        self.vnode_visited = [dict() for _ in range(k)]
         full_mask = (1 << automaton.num_states) - 1
         forbidden = self.forbidden
         wave: list[tuple[int, int, int, int]] = []
         for ai, anchor in enumerate(anchors):
-            if anchor is None:
-                self.base_mask = (
-                    start_mask & ~GlushkovAutomaton.INITIAL_MASK
-                )
-            else:
+            if anchor is not None:
                 self.visited[ai][anchor] = start_mask
             for node in forbidden:
                 self.visited[ai][node] = full_mask
@@ -269,6 +317,8 @@ class BatchedBackwardRun:
             wave.append((ai, int(b), int(e), start_mask))
 
         while wave and not self.done:
+            if self.merge and len(wave) >= _ARRAY_WAVE_MIN:
+                return self._finish_arrays(self._to_arrays(wave))
             wave = self._process_wave(wave)
         for visited in self.visited:
             self.stats.visited_nodes = max(
@@ -276,47 +326,70 @@ class BatchedBackwardRun:
             )
         return self.reported
 
-    def _run_arrays(self, anchors, start_ranges, max_reported):
-        """:meth:`run_many` on array-held state (see the module notes)."""
+    def _to_arrays(self, wave):
+        """Move a dict run's ``D`` / ``D[v]`` tables into the sorted
+        columns of an array run; returns ``wave`` as columns."""
+        n_nodes = self.engine.ring.num_nodes
+        self.d_table = _table(
+            [ai * n_nodes + node
+             for ai, visited in enumerate(self.visited) for node in visited],
+            [mask for visited in self.visited for mask in visited.values()],
+        )
+        dv_lists = [([], []) for _ in range(self.engine.ring.L_s.height)]
+        for ai, marks in enumerate(self.vnode_visited):
+            for (level, prefix), mask in marks.items():
+                keys, masks = dv_lists[level]
+                keys.append((ai << level) | prefix)
+                masks.append(mask)
+        self.dv_tables = [_table(*lists) for lists in dv_lists]
+        return tuple(np.array(wave, dtype=np.int64).T)
+
+    def _run_arrays(self, anchors, start_ranges, max_reported, target=None):
+        """:meth:`run_many`, and a full-range :meth:`run`, on array-held
+        state (see the module notes)."""
+        if not self._begin(anchors, max_reported, target):
+            return self.reported
         automaton = self.prepared.automaton
         start_mask = automaton.final_mask
         k = len(anchors)
-        self.reported = [set() for _ in range(k)]
-        if start_mask == 0 or k == 0:
-            return self.reported
         ring = self.engine.ring
         n_nodes = ring.num_nodes
-        self.max_reported = max_reported
-        self.total_reported = 0
-        self.done = False
         full_mask = (1 << automaton.num_states) - 1
         rows = np.arange(k, dtype=np.int64)
+        anchored = [ai for ai, node in enumerate(anchors) if node is not None]
         forbidden = np.fromiter(self.forbidden, np.int64, len(self.forbidden))
         empty = np.zeros(0, dtype=np.int64)
         self.d_table = _or_into(
             empty, empty,
             np.concatenate((
-                rows * n_nodes + np.asarray(anchors, dtype=np.int64),
+                rows[anchored] * n_nodes
+                + np.asarray([anchors[ai] for ai in anchored], dtype=np.int64),
                 (rows[:, None] * n_nodes + forbidden).ravel(),
             )),
             np.concatenate((
-                np.full(k, start_mask, dtype=np.int64),
+                np.full(len(anchored), start_mask, dtype=np.int64),
                 np.full(k * len(forbidden), full_mask, dtype=np.int64),
             )),
         )
         self.dv_tables = [(empty, empty)] * ring.L_s.height
         ranges = np.asarray(start_ranges, dtype=np.int64).reshape(k, 2)
-        wave = (
+        return self._finish_arrays((
             rows, ranges[:, 0], ranges[:, 1],
             np.full(k, start_mask, dtype=np.int64),
-        )
+        ))
+
+    def _finish_arrays(self, wave):
+        """Run the remaining waves on the array kernel; the reports join
+        any a dict run made before it moved here."""
         reports = []
         while len(wave[0]) and not self.done:
             wave = self._array_wave(wave, reports)
 
+        n_nodes = self.engine.ring.num_nodes
         keys = self.d_table[0]
         self.stats.visited_nodes = max(
-            self.stats.visited_nodes, int(np.bincount(keys // n_nodes).max())
+            self.stats.visited_nodes,
+            int(np.bincount(keys // n_nodes, minlength=1).max()),
         )
         if reports:
             rows = np.concatenate([row for row, _ in reports])
@@ -327,7 +400,7 @@ class BatchedBackwardRun:
             for row, group in zip(
                 rows[firsts].tolist(), np.split(nodes, firsts[1:])
             ):
-                self.reported[row] = set(group.tolist())
+                self.reported[row].update(group.tolist())
         return self.reported
 
     # ------------------------------------------------------------------
@@ -530,6 +603,7 @@ class BatchedBackwardRun:
         """
         stats = self.stats
         prune = self.prune
+        base_mask = self.base_mask
         ring = self.engine.ring
         levels = ring.L_s._held_levels()
         class_cum = ring.L_s._class_cum
@@ -579,7 +653,7 @@ class BatchedBackwardRun:
                 hi = np.minimum(lo + (1 << shift), sigma)
                 covered = class_cum[hi] - class_cum[lo] == e - b
                 marks = self.dv_tables[level]
-                seen = _marks_of(*marks, key)
+                seen = _marks_of(*marks, key, base_mask)
                 if covered.any():
                     seen |= _earlier_or(key, np.where(covered, d, 0))
                     self.dv_tables[level] = _or_into(
@@ -609,24 +683,33 @@ class BatchedBackwardRun:
         tid, subject = tid[live], prefix[live]
         rows, d = t_rows[tid], t_d[tid]
         key = rows * n_nodes + subject
-        seen = _marks_of(*self.d_table, key) | _earlier_or(key, d)
+        seen = _marks_of(*self.d_table, key, base_mask) | _earlier_or(key, d)
         keep = (d | seen) != seen
         d_new = d & ~seen
         report = keep & ((d_new & GlushkovAutomaton.INITIAL_MASK) != 0)
-        stop = len(live)
+        # The early exits: the leaves after the one that reports the
+        # ``cc`` target, or that fills the cap, are never reached.  At
+        # one leaf the target wins, as in the entry-by-entry walk.
+        cut = None
+        hits = np.flatnonzero(report)
+        if self.target is not None:
+            found = hits[subject[hits] == self.target]
+            if len(found):
+                cut = int(found[0]) + 1
         if self.max_reported is not None:
-            hits = np.flatnonzero(report)
             room = max(self.max_reported - self.total_reported, 1)
-            if len(hits) >= room:
-                # The limit cut: the leaves after the one that fills
-                # the cap are never reached.
-                stop = int(hits[room - 1]) + 1
-                self.done = True
+            last = int(hits[room - 1]) if len(hits) >= room else None
+            if last is not None and (cut is None or last < cut - 1):
+                cut = last + 1
                 stats.truncated = True
-                rows, subject, d, key, keep, d_new, report = (
-                    rows[:stop], subject[:stop], d[:stop], key[:stop],
-                    keep[:stop], d_new[:stop], report[:stop],
-                )
+        stop = len(live)
+        if cut is not None:
+            stop = cut
+            self.done = True
+            rows, subject, d, key, keep, d_new, report = (
+                rows[:stop], subject[:stop], d[:stop], key[:stop],
+                keep[:stop], d_new[:stop], report[:stop],
+            )
         ls_empty += int(live[stop - 1]) + 1 - stop if self.done else k - stop
         n_keep = int(keep.sum())
         wavelet_nodes += stop
@@ -637,7 +720,7 @@ class BatchedBackwardRun:
         reports.append((rows[report], subject[report]))
         self.total_reported += int(report.sum())
         if self.done:
-            keep[stop - 1] = False  # the leaf that filled the cap
+            keep[stop - 1] = False  # the leaf that ended the run
         rows, subject, d_new = rows[keep], subject[keep], d_new[keep]
         stats.object_ranges += len(rows)
         ob = ring.C_o.gather(subject)
@@ -657,7 +740,8 @@ class BatchedBackwardRun:
         return rows[has], ob[has], oe[has], d_new[has]
 
     # ------------------------------------------------------------------
-    # One entry at a time (single anchor, > 63 states, batch=False)
+    # One entry at a time (narrow single-anchor waves, > 63 states,
+    # batch=False)
     # ------------------------------------------------------------------
 
     def _expand_entry_scalar(self, ai, b_o, e_o, d):

@@ -366,12 +366,11 @@ class _Conn:
         }
         if extra:
             headers.update(extra)
-        self.writer.write(self._head(status, headers) + body)
-        await self.writer.drain()
+        await self.send(self._head(status, headers) + body)
 
-    async def start_chunked(self, status: int, content_type: str,
-                            extra: "dict[str, str] | None" = None,
-                            keep_alive: bool = True) -> None:
+    def chunked_head(self, status: int, content_type: str,
+                     extra: "dict[str, str] | None" = None,
+                     keep_alive: bool = True) -> bytes:
         headers = {
             "Content-Type": content_type,
             "Transfer-Encoding": "chunked",
@@ -379,18 +378,18 @@ class _Conn:
         }
         if extra:
             headers.update(extra)
-        self.writer.write(self._head(status, headers))
-        await self.writer.drain()
+        return self._head(status, headers)
 
-    async def send_chunk(self, data: bytes) -> None:
-        """One chunk; ``drain()`` applies per-connection backpressure —
+    async def send(self, data: bytes) -> None:
+        """One write; ``drain()`` applies per-connection backpressure —
         a slow reader stalls only its own task, never the loop."""
-        self.writer.write(b"%x\r\n" % len(data) + data + b"\r\n")
+        self.writer.write(data)
         await self.writer.drain()
 
-    async def end_chunked(self) -> None:
-        self.writer.write(b"0\r\n\r\n")
-        await self.writer.drain()
+
+def _chunk(data: bytes) -> bytes:
+    """``data`` framed as one HTTP/1.1 chunk."""
+    return b"%x\r\n" % len(data) + data + b"\r\n"
 
 
 # ----------------------------------------------------------------------
@@ -790,8 +789,11 @@ class HTTPQueryServer:
         Returns True when the ticket settled with the client still
         there; False when the client vanished first (the query is then
         cancelled, and we still wait for settlement so the admission
-        slot is provably released before the handler returns).
+        slot is provably released before the handler returns).  A
+        ticket that is already settled (a cache hit) returns at once.
         """
+        if ticket.done():
+            return True
         loop = asyncio.get_running_loop()
         settled = loop.create_future()
 
@@ -807,7 +809,7 @@ class HTTPQueryServer:
                 loop.call_soon_threadsafe(_resolve)
 
         ticket._on_settle = _hook
-        if ticket.done():
+        if ticket.done():  # settled between the check and the hook
             _resolve()
         watcher = asyncio.ensure_future(conn.watch_eof())
         try:
@@ -983,14 +985,14 @@ class HTTPQueryServer:
     async def _stream_result(self, conn: _Conn, ticket, result,
                              cursor: int, page_size: int,
                              keep_alive: bool) -> None:
-        """The streaming core: chunked NDJSON, one page per chunk."""
+        """The streaming core: chunked NDJSON, one page per chunk and
+        one write per page — the head and header record ride with the
+        first page, the trailer and terminator with the last."""
         pairs = sorted(result.pairs)
         extra = {
             "X-Query-Id": ticket.query_id,
             "X-Query-Stages": _stages_header(ticket.lifecycle),
         }
-        await conn.start_chunked(200, NDJSON_CONTENT_TYPE, extra=extra,
-                                 keep_alive=keep_alive)
         header = {
             "kind": "header",
             "query_id": ticket.query_id,
@@ -999,11 +1001,16 @@ class HTTPQueryServer:
             "cursor": cursor,
             "page_size": page_size,
         }
-        await conn.send_chunk(_ndjson_line(header))
+        pending = conn.chunked_head(
+            200, NDJSON_CONTENT_TYPE, extra=extra, keep_alive=keep_alive,
+        ) + _chunk(_ndjson_line(header))
         pages = 0
         for at, page, nxt in iter_pages(pairs, cursor, page_size):
+            if pages:
+                await conn.send(pending)
+                pending = b""
             pages += 1
-            await conn.send_chunk(_ndjson_line({
+            pending += _chunk(_ndjson_line({
                 "kind": "page",
                 "cursor": at,
                 "count": len(page),
@@ -1017,8 +1024,7 @@ class HTTPQueryServer:
             "pages": pages,
             "stats": _stats_dict(result.stats),
         }
-        await conn.send_chunk(_ndjson_line(trailer))
-        await conn.end_chunked()
+        await conn.send(pending + _chunk(_ndjson_line(trailer)) + b"0\r\n\r\n")
         self._inc("serve.http.streamed", 1)
         self._inc("serve.http.pages", pages)
 

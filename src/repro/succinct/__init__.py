@@ -7,8 +7,6 @@ the role the sdsl-lite C++ library plays in the paper's implementation:
   constant-time ``rank`` and logarithmic ``select``;
 * :class:`~repro.succinct.int_array.PackedIntArray` — fixed-width packed
   integer array (the "packed form" baseline for space accounting);
-* :class:`~repro.succinct.wavelet_tree.WaveletTree` — pointer-based
-  wavelet tree (reference implementation for small alphabets);
 * :class:`~repro.succinct.wavelet_matrix.WaveletMatrix` — the wavelet
   matrix of Claude, Navarro & Ordóñez, used by the ring for its large
   node/predicate alphabets; exposes the *virtual node* API that the
@@ -18,12 +16,10 @@ the role the sdsl-lite C++ library plays in the paper's implementation:
 from repro.succinct.bitvector import BitVector
 from repro.succinct.int_array import PackedIntArray
 from repro.succinct.wavelet_matrix import WaveletMatrix, WaveletNode
-from repro.succinct.wavelet_tree import WaveletTree
 
 __all__ = [
     "BitVector",
     "PackedIntArray",
     "WaveletMatrix",
     "WaveletNode",
-    "WaveletTree",
 ]

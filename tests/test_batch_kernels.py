@@ -29,9 +29,11 @@ The differential runs with production thresholds, on single-anchor
 runs that stop early (a result cap, a ``cc`` target), and — for the
 array kernel every multi-anchor run takes — at phase-2 chunk widths
 from one anchor to 1 024, with pruning on and off and with forbidden
-nodes, so narrow frontiers cannot hide the merged paths from the test.  A constructed
-graph pins the one subtle step of that kernel: the earlier tasks of
-the same anchor in the same wave.
+nodes, so narrow frontiers cannot hide the merged paths from the test.
+Single-anchor runs are also forced onto the array kernel from their
+first or second wave, so the switch itself is held to the reference.
+A constructed graph pins the one subtle step of that kernel: the
+earlier tasks of the same anchor in the same wave.
 """
 
 from __future__ import annotations
@@ -89,8 +91,9 @@ WIDE_EXPR = "/".join(["(p0|p1)?"] * 35 + ["p2"])
 WIDE_QUERIES = [f"(?x, {WIDE_EXPR}, ?y)", f"(?x, {WIDE_EXPR}, n89)"]
 
 #: Single-anchor runs that stop early, as ``(query, limit)``: a result
-#: cap, and a ``cc`` target found in the middle of a wide wave.  Both
-#: expand entry by entry, so they count exactly as the reference does.
+#: cap, and a ``cc`` target found in the middle of a wide wave.  At the
+#: production switch width both stop before their waves grow wide, on
+#: the entry-by-entry walk, so they count exactly as the reference does.
 EARLY_EXITS = [
     ("(?x, (p0|p1)+, n3)", 20),
     ("(n21, (p0|p1|p2|p3)+, n242)", None),
@@ -559,6 +562,63 @@ def test_array_kernel_differential(kg_index, monkeypatch, width):
     assert calls and max(calls) > 1
 
 
+#: A both-variable query with a nullable closure: its phase 1 starts
+#: on the array kernel with a base mark that holds a final state.
+NULLABLE_QUERY = "(?x, p0*, ?y)"
+
+
+@pytest.mark.parametrize("switch_at", (1, 2))
+def test_switched_single_anchor_differential(kg_index, monkeypatch, switch_at):
+    """Single-anchor runs forced onto the array kernel from their first
+    wave, or their first wave of two: pairs and every counter equal the
+    entry-by-entry reference, pruned or not, with and without forbidden
+    nodes; runs that stop early keep their pairs, flag and target."""
+    switched = []
+    to_arrays = batchrun.BatchedBackwardRun._to_arrays
+
+    def counted(self, wave):
+        switched.append(len(wave))
+        return to_arrays(self, wave)
+
+    monkeypatch.setattr(batchrun.BatchedBackwardRun, "_to_arrays", counted)
+    monkeypatch.setattr(batchrun, "_ARRAY_WAVE_MIN", switch_at)
+    for prune in (True, False):
+        scalar = RingRPQEngine(kg_index, batch=False, prune=prune)
+        batched = RingRPQEngine(kg_index, batch=True, prune=prune)
+        for forbidden in (None, FORBIDDEN):
+            for query in QUERIES + [NULLABLE_QUERY]:
+                rs = scalar.evaluate(query, timeout=60.0,
+                                     forbidden_nodes=forbidden)
+                rb = batched.evaluate(query, timeout=60.0,
+                                      forbidden_nodes=forbidden)
+                where = (query, prune, forbidden)
+                assert not rs.stats.timed_out and not rb.stats.timed_out
+                assert rb.pairs == rs.pairs, where
+                assert not _counter_diffs(rs, rb), (
+                    where, _counter_diffs(rs, rb))
+    assert switched and min(switched) >= switch_at
+    scalar = RingRPQEngine(kg_index, batch=False)
+    batched = RingRPQEngine(kg_index, batch=True)
+    for query, limit in EARLY_EXITS:
+        switched.clear()
+        rs = scalar.evaluate(query, timeout=60.0, limit=limit)
+        rb = batched.evaluate(query, timeout=60.0, limit=limit)
+        assert switched, query
+        assert rb.pairs == rs.pairs and rs.pairs, query
+        assert rb.stats.truncated == rs.stats.truncated, query
+
+
+def test_phase1_that_reaches_no_node():
+    """A full-range start whose steps all lead nowhere (``zz`` labels no
+    edge) leaves the array ``D`` table empty: no pairs, no visits."""
+    index = RingIndex.from_graph(Graph([
+        ("a", "p0", "b"), ("b", "p1", "c"), ("c", "p2", "a"),
+    ]))
+    for batch in (False, True):
+        result = RingRPQEngine(index, batch=batch).evaluate("(?x, zz/p0*, ?y)")
+        assert not result.pairs and result.stats.visited_nodes == 0, batch
+
+
 def test_array_kernel_earlier_tasks_of_one_anchor():
     """One anchor, one wave, two tasks on the same node.
 
@@ -596,8 +656,11 @@ def test_array_kernel_earlier_tasks_of_one_anchor():
 #: the array kernel.
 PHASE2_QUERY = "(?x, p2/p0*, ?y)"
 
+#: A single-anchor query that runs several waves after a forced switch.
+SWITCHED_QUERY = "(?x, (p0|p1|p2|p3)+, n21)"
 
-def _stop_inside_phase2(monkeypatch, stop):
+
+def _stop_after_a_merged_descent(monkeypatch, stop):
     """Call ``stop(run)`` after the first merged L_s descent, and let
     every tick consult the budget."""
     monkeypatch.setattr(engine_module, "_TICK_EVERY", 1)
@@ -611,30 +674,54 @@ def _stop_inside_phase2(monkeypatch, stop):
     monkeypatch.setattr(batchrun.BatchedBackwardRun, "_ls_wave", wrapped)
 
 
-def test_phase2_timeout_leaves_the_buckets_balanced(kg_index, monkeypatch):
+def _assert_timeout_leaves_the_buckets_balanced(index, monkeypatch, query):
     from tests.test_obs import _assert_bucket_invariants
 
-    full = RingRPQEngine(kg_index).evaluate(PHASE2_QUERY)
+    full = RingRPQEngine(index).evaluate(query)
 
     def expire(run):
         run.budget.deadline = run.budget.start
 
-    _stop_inside_phase2(monkeypatch, expire)
-    result = RingRPQEngine(kg_index).evaluate(PHASE2_QUERY, timeout=60.0)
+    _stop_after_a_merged_descent(monkeypatch, expire)
+    result = RingRPQEngine(index).evaluate(query, timeout=60.0)
     assert result.stats.timed_out and result.stats.ls_descents
     assert result.pairs < full.pairs
-    _assert_bucket_invariants(result.stats, PHASE2_QUERY)
+    _assert_bucket_invariants(result.stats, query)
+
+
+def _assert_cancel_returns_a_flagged_subset(index, monkeypatch, query):
+    import threading
+
+    full = RingRPQEngine(index).evaluate(query)
+    token = threading.Event()
+    _stop_after_a_merged_descent(monkeypatch, lambda run: token.set())
+    result = RingRPQEngine(index).evaluate(query, cancel=token)
+    assert result.stats.cancelled
+    assert result.pairs < full.pairs
+
+
+def test_phase2_timeout_leaves_the_buckets_balanced(kg_index, monkeypatch):
+    _assert_timeout_leaves_the_buckets_balanced(
+        kg_index, monkeypatch, PHASE2_QUERY)
 
 
 def test_phase2_cancel_returns_a_flagged_subset(kg_index, monkeypatch):
-    import threading
+    _assert_cancel_returns_a_flagged_subset(
+        kg_index, monkeypatch, PHASE2_QUERY)
 
-    full = RingRPQEngine(kg_index).evaluate(PHASE2_QUERY)
-    token = threading.Event()
-    _stop_inside_phase2(monkeypatch, lambda run: token.set())
-    result = RingRPQEngine(kg_index).evaluate(PHASE2_QUERY, cancel=token)
-    assert result.stats.cancelled
-    assert result.pairs < full.pairs
+
+def test_switched_run_timeout_leaves_the_buckets_balanced(
+    kg_index, monkeypatch
+):
+    monkeypatch.setattr(batchrun, "_ARRAY_WAVE_MIN", 1)
+    _assert_timeout_leaves_the_buckets_balanced(
+        kg_index, monkeypatch, SWITCHED_QUERY)
+
+
+def test_switched_run_cancel_returns_a_flagged_subset(kg_index, monkeypatch):
+    monkeypatch.setattr(batchrun, "_ARRAY_WAVE_MIN", 1)
+    _assert_cancel_returns_a_flagged_subset(
+        kg_index, monkeypatch, SWITCHED_QUERY)
 
 
 def test_phase2_limit_cuts_inside_a_descent(kg_index):

@@ -200,7 +200,7 @@ class TestFig6Traversal:
         mask_str = automaton.state_mask_str
         visited = {
             d.node_label(node): mask_str(mask)
-            for node, mask in run.visited[0].items()  # the one anchor
+            for node, mask in run.visited_masks(0).items()  # the one anchor
         }
         assert visited == {
             "Baq": "0111",  # start 0001, revisited with 0110

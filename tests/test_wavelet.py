@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ConstructionError
 from repro.succinct.wavelet_matrix import WaveletMatrix, _bit_reverse
-from repro.succinct.wavelet_tree import WaveletTree
+from tests.wavelet_tree import WaveletTree
 
 SEQ = [3, 1, 4, 1, 5, 2, 0, 5, 3, 3, 1, 0]
 SIGMA = 6

@@ -3,11 +3,9 @@
 This is the textbook structure of §3.5 of the paper: a perfect binary
 tree over the alphabet where each internal node stores one bitvector.
 The production index used by the ring is the wavelet matrix
-(:mod:`repro.succinct.wavelet_matrix`); this pointer version exists as
-
-* the reference implementation the matrix is differential-tested
-  against, and
-* the structure the paper's Fig. 4 worked example is replayed on.
+(:mod:`repro.succinct.wavelet_matrix`); this pointer version is the
+reference implementation the matrix is differential-tested against in
+``tests/test_wavelet.py`` (``range_intersect`` included).
 
 Both classes deliberately share method names (``access``, ``rank``,
 ``select``, ``range_distinct``, ``size_in_bits``) so tests can run the
