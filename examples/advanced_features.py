@@ -6,7 +6,7 @@ Demonstrates, on a small social/org graph:
 * ``forbidden_nodes`` — the §6 node-constraint extension;
 * triple-pattern lookup on the ring (``index.match_pattern``);
 * Leapfrog-style seekable relations and a mixed star join (§6);
-* index persistence (save to / load from a single ``.npz``).
+* index persistence (a memory-mapped ``RPQSNAP1`` snapshot file).
 
 Run with::
 
@@ -24,7 +24,7 @@ from repro.core.leapfrog import (
     TriplePatternRelation,
     join_subjects,
 )
-from repro.ring.storage import load_index, save_index
+from repro.ring.snapshot import load_snapshot, save_snapshot
 
 
 def build_org_graph() -> Graph:
@@ -83,9 +83,9 @@ def main() -> None:
 
     # -- persistence ------------------------------------------------------
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "org.ring.npz"
-        save_index(index, path)
-        restored = load_index(path)
+        path = Path(tmp) / "org.ring.snap"
+        save_snapshot(index, path)
+        restored = load_snapshot(path)
         again = restored.evaluate("(?x, reportsTo+, carla)")
         assert again.pairs == chain.pairs
         print(f"\nindex saved+reloaded from {path.name}: "

@@ -457,8 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--limit", type=int, default=1_000_000)
     e.add_argument("--backend", default="ring",
                    choices=["ring", *MATRIX_ENGINES],
-                   help="evaluation backend to explain (routed shows "
-                        "the decision and est-vs-actual seconds)")
+                   help="evaluation backend to explain (routed names "
+                        "the backend the query's shape picks)")
     e.add_argument("--symmetric", nargs="*", default=[],
                    help="predicates stored bidirectionally")
     e.add_argument("--json", action="store_true",
@@ -501,8 +501,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--backend", default="ring",
                         choices=["ring", *MATRIX_ENGINES],
                         help="evaluation backend: the ring engine, the "
-                             "sparse-matrix engine, or the per-query "
-                             "cost-model router")
+                             "sparse-matrix engine, or the shape router "
+                             "(both-variable queries on the matrix, the "
+                             "rest on the ring)")
         sp.add_argument("--pool", default="threads",
                         choices=["threads", "processes"],
                         help="serving tier: worker threads sharing the "

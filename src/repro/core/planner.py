@@ -16,9 +16,10 @@ off the Glushkov automaton, with edge counts taken from the ring's
 
 The same statistics price a query before it runs:
 :func:`estimate_rpq_cost` is EXPLAIN's pre-execution estimate of the
-ring's traversal work, and :func:`plan_inputs` is the one view of a
-query (automaton, ``B`` table, matching edges) that it and the
-matrix backend's estimate in :mod:`repro.matrix.routed` both read.
+ring's traversal work, read off :func:`plan_inputs`, the one view of a
+query (automaton, ``B`` table, matching edges) that EXPLAIN builds.
+Nothing routes on these estimates: the routed engine picks its
+backend by query shape alone (:mod:`repro.matrix.routed`).
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ def choose_anchor_side(
 
 
 # ----------------------------------------------------------------------
-# Pre-execution work estimation (EXPLAIN, backend routing)
+# Pre-execution work estimation (EXPLAIN)
 # ----------------------------------------------------------------------
 
 
@@ -105,8 +106,7 @@ class PlanInputs(NamedTuple):
 
 def plan_inputs(index, query) -> PlanInputs:
     """The estimates' shared view of ``query`` (a :class:`PlanInputs`
-    passes through, so one routing decision or one EXPLAIN builds the
-    automaton once)."""
+    passes through, so one EXPLAIN builds the automaton once)."""
     if isinstance(query, PlanInputs):
         return query
     rpq = as_query(query)

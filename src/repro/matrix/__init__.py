@@ -6,8 +6,9 @@ weakest on bulk/dense queries.  This package is the complementary
 backend: the completed graph compiled to one boolean CSR matrix per
 predicate (:mod:`repro.matrix.matrices`), the Glushkov product
 evaluated by state-blocked boolean multiplication
-(:mod:`repro.matrix.engine`), and a cost-model router that picks ring
-or matrix per query (:mod:`repro.matrix.routed`, estimates included).
+(:mod:`repro.matrix.engine`), and a router that sends both-variable
+queries to the matrix and the rest to the ring
+(:mod:`repro.matrix.routed`).
 
 Importing this package requires :mod:`scipy`; the engine registry
 (:mod:`repro.baselines.registry`) guards the import so environments

@@ -44,9 +44,8 @@ def plan_dict(index, query, engine=None) -> dict:
     """The plain-EXPLAIN plan as a JSON-ready dict.
 
     ``engine`` overrides the planning engine (the matrix backend or
-    the cost-model router); a routing engine's plan additionally
-    carries a ``routing`` section with both backends' predicted
-    seconds and the decision.
+    the shape router); a routed plan additionally names the
+    ``backend`` that would run the query.
     """
     inputs = plan_inputs(index, query)
     rpq, automaton, b_masks = inputs.rpq, inputs.automaton, inputs.b_masks
@@ -96,8 +95,10 @@ def format_plan(index, query, engine=None) -> str:
         f"shape    : {plan['shape']}",
         f"strategy : {plan['strategy']}",
     ]
-    if "routing" in plan:
-        lines.append(f"routing  : {plan['routing']['decision']}")
+    if "backend" in plan:
+        lines.append(
+            f"backend  : {plan['backend']} ({plan['backend_reason']})"
+        )
     if "anchor_side" in plan:
         lines.append(f"anchor   : {plan['anchor_side']} side bound first")
     lines += [
@@ -220,27 +221,6 @@ class AnalyzeReport:
         """The per-phase table: counters with the record's seconds."""
         return self.stats.phase_breakdown(self.record.phase_seconds)
 
-    def routing(self) -> dict | None:
-        """Routed runs: the decision with predicted vs. actual seconds.
-
-        ``None`` when the analyzed engine does not route.  The ratio
-        is predicted/actual for the backend that ran — the router's
-        own est-vs-actual discipline, in wall-clock currency.
-        """
-        decision = self.plan.get("routing")
-        if decision is None:
-            return None
-        backend = decision["backend"]
-        predicted = decision[f"{backend}_seconds"]
-        actual = self.record.elapsed
-        return {
-            "backend": backend,
-            "ran_backend": self.record.backend,
-            "predicted_seconds": predicted,
-            "actual_seconds": actual,
-            "ratio": (predicted / actual) if actual > 0 else None,
-        }
-
     def format(self) -> str:
         record = self.record
         flags = [label for label, on in (
@@ -258,16 +238,6 @@ class AnalyzeReport:
             f"(modeled {self.estimate.modeled_seconds * 1e3:.3f} ms)"
             f"{suffix}",
         ]
-        routing = self.routing()
-        if routing is not None:
-            ratio = routing["ratio"]
-            ratio_text = "-" if ratio is None else f"{ratio:.2f}x"
-            lines.append(
-                f"routing: chose {routing['backend']} — predicted "
-                f"{routing['predicted_seconds'] * 1e3:.3f} ms, actual "
-                f"{routing['actual_seconds'] * 1e3:.3f} ms "
-                f"(est/actual {ratio_text})"
-            )
         lines.append("")
         rows = [("phase", "metric", "estimated", "actual", "est/actual")]
         for row in self.comparison():
@@ -315,7 +285,6 @@ class AnalyzeReport:
             "phases": self.phases(),
             "comparison": self.comparison(),
             "misestimation": self.misestimation(),
-            "routing": self.routing(),
         }
 
     def to_json(self, indent: int | None = 2) -> str:
@@ -348,9 +317,8 @@ def explain_analyze(
     stamped onto the stats, the span tree and the record, so an EXPLAIN
     ANALYZE can be correlated against a service's slow/query logs for
     the same query.  ``engine`` overrides the evaluation engine (the
-    index's ring engine by default); a routing engine's report
-    additionally carries the decision with predicted vs. actual seconds
-    (:meth:`AnalyzeReport.routing`).
+    index's ring engine by default); the record's ``backend`` names
+    the engine that ran the query.
     """
     rpq = as_query(query)
     if query_id is None:

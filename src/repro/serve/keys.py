@@ -157,8 +157,7 @@ def index_fingerprint(index) -> str:
     return fingerprint
 
 
-def query_cache_key(query: RPQ, fingerprint: str,
-                    backend: str | None = None) -> tuple:
+def query_cache_key(query: RPQ, fingerprint: str) -> tuple:
     """The cache key of ``query`` against the index ``fingerprint``.
 
     A hashable tuple of the fingerprint, both normalized endpoints and
@@ -166,20 +165,14 @@ def query_cache_key(query: RPQ, fingerprint: str,
     are frozen dataclasses, but the string keeps the key cheap to
     compare and trivially printable in debug output).
 
-    ``backend`` joins the key when the serving engine routes between
-    backends: *complete* answer sets are backend-independent, but a
-    *truncated* entry keeps whichever prefix its backend's emission
-    order produced, so a hit must never cross backends.  The service
-    resolves the routing decision before its cache lookup and passes
-    it here; single-backend services leave it ``None`` (keys stay
-    identical to the pre-routing format).
+    The key also fixes the backend of a shape-routed engine: routing
+    reads only which endpoints are variables, and normalization keeps
+    that, so a truncated entry is only ever replayed to a request that
+    would have run on the backend whose emission order cut it.
     """
-    key = (
+    return (
         fingerprint,
         _normalize_endpoint(query.subject),
         str(normalize_expr(query.expr)),
         _normalize_endpoint(query.object),
     )
-    if backend is not None:
-        key = (*key, backend)
-    return key

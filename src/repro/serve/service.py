@@ -31,7 +31,6 @@ workloads; ``docs/serving.md`` discusses the numbers honestly.
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import queue
 import threading
@@ -53,10 +52,10 @@ _SHUTDOWN = object()
 #: Every gauge under these prefixes is a point-in-time *load* level and
 #: is zeroed by :meth:`QueryService.close` in one registry-driven sweep
 #: — regardless of which tier (threads, process pool, HTTP front door,
-#: router, cache) registered it.  Keeping this list short and
-#: prefix-based is the fix for the gauge-lifecycle asymmetry where each
-#: new tier had to remember to zero its own gauges ad hoc.
-_LOAD_GAUGE_PREFIXES = ("serve.", "router.")
+#: cache) registered it.  Keeping this list short and prefix-based is
+#: the fix for the gauge-lifecycle asymmetry where each new tier had to
+#: remember to zero its own gauges ad hoc.
+_LOAD_GAUGE_PREFIXES = ("serve.",)
 
 
 class Ticket:
@@ -235,20 +234,6 @@ class QueryService:
             retry_after=retry_after,
         )
         self._fingerprint = index_fingerprint(index)
-        # A routing engine decides its backend per query; the decision
-        # must join the cache key *before* lookup, or a hit could
-        # serve a result whose truncation order belongs to the other
-        # backend.  Single-backend engines keep the legacy key shape.
-        self._backend_for = getattr(self.engine, "backend_for", None)
-        # Custom engines (baselines, test stubs) may predate the
-        # query_id parameter; detect support once instead of taxing
-        # every evaluation with a try/except.
-        try:
-            parameters = inspect.signature(
-                self.engine.evaluate).parameters
-            self._engine_takes_query_id = "query_id" in parameters
-        except (TypeError, ValueError):  # pragma: no cover - C callables
-            self._engine_takes_query_id = False
         self._queue: queue.Queue = queue.Queue()
         self._tickets: dict[str, Ticket] = {}
         self._lock = threading.Lock()      # tickets / obs merge / slowlog
@@ -296,9 +281,7 @@ class QueryService:
             limit = self.default_limit
 
         obs = self.metrics
-        backend = (self._backend_for(rpq)
-                   if self._backend_for is not None else None)
-        key = query_cache_key(rpq, self._fingerprint, backend=backend)
+        key = query_cache_key(rpq, self._fingerprint)
         cached = self.cache.lookup(key, limit)
         query_id = f"q{next(self._ids)}"
         if cached is not None:
@@ -400,10 +383,9 @@ class QueryService:
 
         Queries still queued are drained and settled normally before
         the workers exit.  All load gauges (queue depth, in-flight,
-        cache size, per-worker utilization, the router's misroute
-        rate) are zeroed so a telemetry scrape after shutdown reports
-        no phantom load — a counter survives its process, a gauge must
-        not survive its service.  (Stage *histograms* and per-worker
+        cache size, per-worker utilization) are zeroed so a telemetry
+        scrape after shutdown reports no phantom load — a counter
+        survives its process, a gauge must not survive its service.  (Stage *histograms* and per-worker
         busy-seconds counters are cumulative and deliberately survive,
         like every other counter.)
         """
@@ -438,7 +420,7 @@ class QueryService:
             with self._lock:
                 # Registry-driven sweep: *every* load gauge any tier
                 # registered (serve.worker.*, serve.pool.*, serve.http.*,
-                # serve.cache.*, router.*) is zeroed, so new gauges can
+                # serve.cache.*) is zeroed, so new gauges can
                 # never be forgotten here again.  Space gauges
                 # (space.bytes{...}) deliberately survive: they describe
                 # the index, which outlives the service.
@@ -582,9 +564,6 @@ class QueryService:
         if spans is not None:
             span = spans.start(f"worker:{worker_id}")
             span.set(query=str(ticket.query), query_id=ticket.query_id)
-        kwargs = {}
-        if self._engine_takes_query_id:
-            kwargs["query_id"] = ticket.query_id
         ticket.lifecycle.mark("worker_started")
         try:
             result = self.engine.evaluate(
@@ -593,7 +572,7 @@ class QueryService:
                 limit=ticket.limit,
                 metrics=local,
                 cancel=ticket.cancel_event,
-                **kwargs,
+                query_id=ticket.query_id,
             )
         finally:
             # The span must close even on an evaluation error — a

@@ -42,7 +42,7 @@ from repro.testing import brute_force_rpq
 CORPUS_DIR = Path(__file__).parent / "corpus"
 
 #: The harness line-up: the paper's engine, the sparse-matrix backend,
-#: the cost-model router, and the classical naive baseline.
+#: the shape router, and the classical naive baseline.
 BACKENDS = ("ring", "matrix", "routed", "product-bfs")
 
 

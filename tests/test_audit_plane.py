@@ -307,7 +307,7 @@ def test_thread_tier_stage_sum_matches_e2e_for_every_query(kg_index,
 
 def test_close_zeroes_worker_gauges_but_keeps_busy_counters(kg_index):
     metrics = Metrics()
-    metrics.set_gauge("router.misroute_rate", 0.25)
+    metrics.set_gauge("serve.pool.novel_level", 0.25)
     service = QueryService(kg_index, workers=2, metrics=metrics,
                            cache_size=0)
     try:
@@ -317,7 +317,7 @@ def test_close_zeroes_worker_gauges_but_keeps_busy_counters(kg_index):
     for name, value in metrics.gauges.items():
         if name.startswith("serve.worker."):
             assert value == 0, name
-    assert metrics.gauge("router.misroute_rate") == 0.0
+    assert metrics.gauge("serve.pool.novel_level") == 0.0
     # Counters are cumulative history and must survive close.
     assert metrics.count("serve.worker.0.busy_seconds") \
         + metrics.count("serve.worker.1.busy_seconds") > 0

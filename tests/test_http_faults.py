@@ -51,7 +51,7 @@ class BlockingEngine:
         self.started = threading.Event()
 
     def evaluate(self, query, timeout=None, limit=None, metrics=None,
-                 cancel=None):
+                 cancel=None, query_id=None):
         self.started.set()
         while not self.release.wait(0.01):
             if cancel is not None and cancel.is_set():
@@ -72,7 +72,7 @@ class SyntheticEngine:
         }
 
     def evaluate(self, query, timeout=None, limit=None, metrics=None,
-                 cancel=None):
+                 cancel=None, query_id=None):
         pairs = self.fat if "fat" in str(query) else {("a", "b")}
         return QueryResult(pairs=set(pairs), stats=QueryStats())
 

@@ -4,21 +4,18 @@ The ring and matrix backends materialise *different deterministic
 prefixes* when a limit truncates a run (ring emits in backward-search
 discovery order, the matrix backend in sorted coordinate order), so a
 cached truncated entry is only a faithful replay for the backend that
-produced it.  The fix under test: the service resolves the routing
-decision *before* the cache lookup and the decision joins the cache
-key, so a hit can only ever serve a result produced by the same
-backend the router would choose now.
+produced it.  Behind the shape router the backend is a function of
+which endpoints are variables, and key normalisation keeps that, so
+one cache key always maps to one backend: a hit replays the answer of
+the backend the request would run on now.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.query import as_query
-from repro.core.result import QueryResult, QueryStats
 from repro.graph.generators import random_graph
 from repro.ring.builder import RingIndex
-from repro.serve.keys import index_fingerprint, query_cache_key
 from repro.serve.service import QueryService
 
 
@@ -29,122 +26,42 @@ def tiny_index():
     )
 
 
-class FlippableRoutingEngine:
-    """A stub routing engine whose backends return *different*
-    truncated prefixes — exactly the hazard the key must prevent."""
-
-    PAIRS = {
-        "alpha": frozenset({("a-subject", "a-object")}),
-        "beta": frozenset({("b-subject", "b-object")}),
-    }
-
-    name = "stub-router"
-
-    def __init__(self):
-        self.backend = "alpha"
-        self.backend_calls = 0
-        self.evaluations = 0
-
-    def backend_for(self, query):
-        self.backend_calls += 1
-        return self.backend
-
-    def evaluate(self, query, timeout=None, limit=None, metrics=None,
-                 cancel=None, query_id=None):
-        self.evaluations += 1
-        stats = QueryStats(query_id=query_id or "")
-        stats.backend = self.backend
-        pairs = set(self.PAIRS[self.backend])
-        if limit is not None and limit <= len(pairs):
-            stats.truncated = True
-            pairs = set(sorted(pairs)[:limit])
-        return QueryResult(pairs=pairs, stats=stats)
-
-
-def test_cache_key_carries_backend(tiny_index):
-    fp = index_fingerprint(tiny_index)
-    rpq = as_query("(?x, p0/p1*, ?y)")
-    legacy = query_cache_key(rpq, fp)
-    assert legacy == query_cache_key(rpq, fp, backend=None)
-    ring_key = query_cache_key(rpq, fp, backend="ring")
-    matrix_key = query_cache_key(rpq, fp, backend="matrix")
-    assert ring_key != matrix_key
-    assert ring_key != legacy and matrix_key != legacy
-    # The backend extends the legacy tuple; it never perturbs the
-    # normalization-dependent prefix.
-    assert ring_key[:len(legacy)] == legacy
-
-
-def test_cache_hit_never_crosses_backends(tiny_index):
-    engine = FlippableRoutingEngine()
-    service = QueryService(
-        tiny_index, workers=1, cache_size=32, engine=engine,
-    )
-    try:
-        query = "(?x, p0+, ?y)"
-
-        first = service.submit(query, timeout=5, limit=1).result(5)
-        assert first.pairs == {("a-subject", "a-object")}
-        assert first.stats.truncated and engine.evaluations == 1
-
-        # Reroute: same query, same limit, other backend.  Without the
-        # backend in the key this would *hit* alpha's truncated entry
-        # and serve the wrong prefix.
-        engine.backend = "beta"
-        second = service.submit(query, timeout=5, limit=1).result(5)
-        assert second.pairs == {("b-subject", "b-object")}
-        assert not second.stats.cached
-        assert engine.evaluations == 2
-
-        # Back to alpha: its entry is still there and still serves —
-        # hits within one backend keep working.
-        engine.backend = "alpha"
-        third = service.submit(query, timeout=5, limit=1).result(5)
-        assert third.pairs == {("a-subject", "a-object")}
-        assert third.stats.cached
-        assert engine.evaluations == 2
-    finally:
-        service.close()
-
-
-def test_routing_decided_before_cache_lookup(tiny_index):
-    """A cache hit must still consult the router: the decision is part
-    of the lookup key, so ``backend_for`` runs on every submission,
-    including ones the cache answers."""
-    engine = FlippableRoutingEngine()
-    service = QueryService(
-        tiny_index, workers=1, cache_size=32, engine=engine,
-    )
-    try:
-        query = "(?x, p1, ?y)"
-        service.submit(query, timeout=5, limit=1).result(5)
-        assert engine.backend_calls == 1
-        hit = service.submit(query, timeout=5, limit=1).result(5)
-        assert hit.stats.cached
-        assert engine.evaluations == 1
-        # Routed before the hit was served, not only on misses.
-        assert engine.backend_calls == 2
-    finally:
-        service.close()
-
-
-def test_real_router_caches_per_backend(tiny_index):
-    """End-to-end with the real router: repeated submissions hit the
-    cache and the replay carries the routed backend's answer."""
+@pytest.fixture()
+def routed_service(tiny_index):
     pytest.importorskip("scipy", reason="matrix backend needs scipy",
-                    exc_type=ImportError)
+                        exc_type=ImportError)
     from repro.matrix import RoutedRPQEngine
 
     engine = RoutedRPQEngine(tiny_index)
-    service = QueryService(
-        tiny_index, workers=1, cache_size=32, engine=engine,
-    )
-    try:
-        query = "(?x, (p0|p2)+, ?y)"
-        first = service.submit(query, timeout=10).result(10)
-        assert not first.stats.cached
-        again = service.submit(query, timeout=10).result(10)
+    with QueryService(tiny_index, workers=1, cache_size=32,
+                      engine=engine) as service:
+        yield engine, service
+
+
+def test_cache_hit_never_crosses_backends(routed_service):
+    """A truncated run of each shape is cached under its own key, and
+    a replayed hit carries the backend and the prefix of the run that
+    stored it, which is the backend the router picks for the query."""
+    engine, service = routed_service
+    for query, backend in (("(?x, p0+, ?y)", "matrix"),
+                           ("(n0, (p0|p1)*, ?y)", "ring")):
+        assert engine.backend_for(query) == backend
+        first = service.submit(query, timeout=10, limit=1).result(10)
+        assert not first.stats.cached and first.stats.truncated
+        assert first.stats.backend == backend
+        again = service.submit(query, timeout=10, limit=1).result(10)
         assert again.stats.cached
         assert again.pairs == first.pairs
-    finally:
-        service.close()
+
+
+def test_real_router_caches_per_backend(routed_service):
+    """End-to-end with the real router: repeated submissions hit the
+    cache and the replay carries the routed backend's answer."""
+    _, service = routed_service
+    query = "(?x, (p0|p2)+, ?y)"
+    first = service.submit(query, timeout=10).result(10)
+    assert not first.stats.cached
+    assert first.stats.backend == "matrix"
+    again = service.submit(query, timeout=10).result(10)
+    assert again.stats.cached
+    assert again.pairs == first.pairs

@@ -37,7 +37,7 @@ class BlockingEngine:
         self.calls = 0
 
     def evaluate(self, query, timeout=None, limit=None, metrics=None,
-                 cancel=None):
+                 cancel=None, query_id=None):
         self.calls += 1
         self.started.set()
         while not self.release.wait(0.01):

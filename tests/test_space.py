@@ -379,7 +379,7 @@ class TestServiceSpaceGauges:
         # outside the load prefixes and a space gauge: the sweep is
         # registry-driven, not an enumerated list.
         metrics.set_gauge("serve.some.novel_gauge", 5.0)
-        metrics.set_gauge("router.some.decision", 2.0)
+        metrics.set_gauge("serve.http.novel_level", 2.0)
         metrics.set_gauge("process.rss_bytes", 123.0)
         space_key = label_key(SPACE_GAUGE_FAMILY, component="index.ring")
         metrics.set_gauge(space_key, 48_896.0)

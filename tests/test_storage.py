@@ -1,14 +1,25 @@
-"""Tests for index persistence."""
+"""Index persistence: every index variant survives a snapshot file.
+
+``save_snapshot`` / ``load_snapshot`` (``RPQSNAP1``, memory-mapped) is
+the one on-disk format.  ``tests/test_snapshot.py`` covers its
+manifest, segments and buffer views; this module covers the index
+variants a file must carry: boundary encodings, the optional object
+column, a paper layout with a symmetric predicate, the smallest graph.
+"""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.errors import ConstructionError
 from repro.graph.generators import random_graph
 from repro.ring.builder import RingIndex
-from repro.ring.storage import load_index, save_index
+from repro.ring.snapshot import (
+    _write_file,
+    load_snapshot,
+    save_snapshot,
+    snapshot_index,
+)
 
 
 @pytest.fixture(scope="module")
@@ -17,24 +28,31 @@ def index():
     return RingIndex.from_graph(graph), graph
 
 
+def _round_trip(index, tmp_path):
+    path = tmp_path / "graph.snap"
+    save_snapshot(index, path)
+    return load_snapshot(path)
+
+
 class TestRoundtrip:
     def test_triples_survive(self, index, tmp_path):
-        original, graph = index
-        path = tmp_path / "graph.ring.npz"
-        save_index(original, path)
-        restored = load_index(path)
-        assert sorted(restored.ring.iter_triples()) == \
-            sorted(original.ring.iter_triples())
-        assert restored.dictionary.node_labels == \
-            original.dictionary.node_labels
-        assert restored.dictionary.predicate_labels == \
-            original.dictionary.predicate_labels
+        _, graph = index
+        # Plain and Elias-Fano-compressed boundary arrays alike.
+        for compressed in (False, True):
+            original = RingIndex.from_graph(
+                graph, compressed_boundaries=compressed
+            )
+            restored = _round_trip(original, tmp_path)
+            assert sorted(restored.ring.iter_triples()) == \
+                sorted(original.ring.iter_triples())
+            assert restored.dictionary.node_labels == \
+                original.dictionary.node_labels
+            assert restored.dictionary.predicate_labels == \
+                original.dictionary.predicate_labels
 
     def test_queries_survive(self, index, tmp_path):
-        original, graph = index
-        path = tmp_path / "graph.ring.npz"
-        save_index(original, path)
-        restored = load_index(path)
+        original, _ = index
+        restored = _round_trip(original, tmp_path)
         for query in ["(?x, p0+, ?y)", "(?x, p1/p2*, ?y)",
                       "(n1, (p0|p3)*, ?y)"]:
             assert restored.evaluate(query).pairs == \
@@ -44,13 +62,10 @@ class TestRoundtrip:
         graph = random_graph(n_nodes=10, n_edges=30, n_predicates=2,
                              seed=3)
         original = RingIndex.from_graph(graph, keep_object_column=True)
-        path = tmp_path / "with_lo.npz"
-        save_index(original, path)
-        restored = load_index(path)
-        assert restored.ring.L_o is not None
-        for i in range(len(restored.ring)):
-            assert restored.ring.lf_o(restored.ring.lf_s(
-                restored.ring.lf_p(i))) == i
+        ring = _round_trip(original, tmp_path).ring
+        assert ring.L_o is not None
+        for i in range(len(ring)):
+            assert ring.lf_o(ring.lf_s(ring.lf_p(i))) == i
 
     def test_santiago_paper_layout(self, tmp_path):
         from repro.graph.datasets import (
@@ -63,9 +78,7 @@ class TestRoundtrip:
             node_order=SANTIAGO_NODE_ORDER,
             predicate_order=["l1", "l2", "l5", "bus"],
         )
-        path = tmp_path / "santiago.npz"
-        save_index(original, path)
-        restored = load_index(path)
+        restored = _round_trip(original, tmp_path)
         assert restored.evaluate("(Baq, l5+/bus, ?y)").pairs == {
             ("Baq", "SA"), ("Baq", "UCh")
         }
@@ -75,19 +88,15 @@ class TestRoundtrip:
             d.predicate_id("l1")
 
     def test_bad_format_rejected(self, index, tmp_path):
-        import json
-
-        path = tmp_path / "bad.npz"
-        meta = json.dumps({"format": 999})
-        np.savez(path, meta_json=np.frombuffer(
-            meta.encode(), dtype=np.uint8
-        ))
-        with pytest.raises(ConstructionError):
-            load_index(path)
+        manifest, buffers = snapshot_index(index[0])
+        path = tmp_path / "bad.snap"
+        _write_file(dict(manifest, format="ring-snapshot/v999"), buffers,
+                    path)
+        with pytest.raises(ConstructionError, match="unsupported"):
+            load_snapshot(path)
 
     def test_empty_graph(self, tmp_path):
         original = RingIndex.from_triples([("a", "p", "b")])
-        path = tmp_path / "tiny.npz"
-        save_index(original, path)
-        restored = load_index(path)
+        restored = _round_trip(original, tmp_path)
         assert len(restored.ring) == 2
+        assert restored.evaluate("(a, p, ?y)").pairs == {("a", "b")}
