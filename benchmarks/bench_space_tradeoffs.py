@@ -36,8 +36,9 @@ def test_size_ordering(bench_graph):
         bench_graph, compressed_boundaries=True
     )
     full = RingIndex.from_graph(bench_graph, keep_object_column=True)
-    assert compact.ring.size_in_bits() < default.ring.size_in_bits()
-    assert full.ring.size_in_bits() > default.ring.size_in_bits()
+    size = default.ring.measure().nbytes
+    assert compact.ring.measure().nbytes < size
+    assert full.ring.measure().nbytes > size
     # answers are identical across representations
     query = "(?x, p1/p0*, n0)"
     reference = default.evaluate(query).pairs

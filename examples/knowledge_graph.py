@@ -34,7 +34,8 @@ def main() -> None:
     started = time.monotonic()
     index = RingIndex.from_graph(graph)
     print(f"ring built in {time.monotonic() - started:.2f}s "
-          f"({index.bytes_per_triple():.1f} bytes/triple)")
+          f"({index.ring.measure().nbytes / len(index.ring):.1f} "
+          "bytes/triple)")
 
     # Pick a class with a rich subtree: the root of the p0 hierarchy.
     root = "n0"

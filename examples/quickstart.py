@@ -34,8 +34,9 @@ def main() -> None:
           f"({len(graph.completion())} after completion)")
 
     index = RingIndex.from_graph(graph)
-    print(f"ring index: {index.ring.size_in_bits() / 8:.0f} bytes "
-          f"({index.bytes_per_triple():.1f} bytes/triple)")
+    ring_bytes = index.ring.measure().nbytes
+    print(f"ring index: {ring_bytes} bytes "
+          f"({ring_bytes / len(index.ring):.1f} bytes/triple)")
 
     # §1: stations reachable by metro (one or more hops on any line).
     show(

@@ -57,7 +57,7 @@ def main() -> None:
     index = RingIndex.from_graph(graph)
     metro = "|".join(f"line{i + 1}" for i in range(args.lines))
     print(f"network: {len(graph)} edges, {len(graph.nodes)} stations; "
-          f"index {index.ring.size_in_bits() // 8} bytes")
+          f"index {index.ring.measure().nbytes} bytes")
 
     start = "L1S0"
     by_metro = index.evaluate(f"({start}, ({metro})+, ?y)")

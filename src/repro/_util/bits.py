@@ -9,31 +9,16 @@ glue between the two worlds.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
 import numpy as np
 
 #: Number of payload bits per machine word used by the packed structures.
 WORD_BITS = 64
 
-_WORD_MASK = (1 << WORD_BITS) - 1
-
 # Byte-indexed popcount table; np.unpackbits-based counting is slower for
 # the short word runs rank() touches, so we count bytes via a table.
 _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint32)
-
-
-def popcount(x: int) -> int:
-    """Number of set bits in the non-negative integer ``x``."""
-    return x.bit_count()
-
-
-def popcount_words(words: np.ndarray) -> int:
-    """Total number of set bits across a ``uint64`` word array."""
-    if words.size == 0:
-        return 0
-    as_bytes = words.view(np.uint8)
-    return int(_POPCOUNT8[as_bytes].sum())
 
 
 def popcount_words_cumulative(words: np.ndarray) -> np.ndarray:
@@ -118,16 +103,6 @@ def rank1_many_words(
     return cum[word] + popcount_u64(in_word)
 
 
-def bits_to_words(bits: Iterable[int]) -> np.ndarray:
-    """Pack an iterable of 0/1 values into a little-endian uint64 array.
-
-    Bit ``i`` of the logical sequence is stored at
-    ``words[i // 64] >> (i % 64) & 1``.
-    """
-    bit_list = np.fromiter((1 if b else 0 for b in bits), dtype=np.uint8)
-    return pack_bool_array(bit_list)
-
-
 def pack_bool_array(bit_array: np.ndarray) -> np.ndarray:
     """Pack a 0/1 ``uint8`` array into uint64 words (little-endian bits)."""
     n = len(bit_array)
@@ -155,27 +130,3 @@ def iter_set_bits(x: int) -> Iterator[int]:
         low = x & -x
         yield low.bit_length() - 1
         x ^= low
-
-
-def mask_of(positions: Iterable[int]) -> int:
-    """Build an integer bitmask with the given bit positions set."""
-    mask = 0
-    for pos in positions:
-        mask |= 1 << pos
-    return mask
-
-
-def low_chunks(x: int, chunk_bits: int, n_chunks: int) -> Iterator[int]:
-    """Split ``x`` into ``n_chunks`` little-endian chunks of ``chunk_bits``."""
-    mask = (1 << chunk_bits) - 1
-    for _ in range(n_chunks):
-        yield x & mask
-        x >>= chunk_bits
-
-
-def word_to_int(words: np.ndarray) -> int:
-    """Reassemble a packed word array into one big Python integer."""
-    value = 0
-    for i, w in enumerate(words):
-        value |= int(w) << (i * WORD_BITS)
-    return value

@@ -82,11 +82,6 @@ class EncodedGraph:
         """Number of edges labeled ``pid``."""
         return len(self._by_pred.get(pid, ()))
 
-    def size_in_bits(self) -> int:
-        """Raw adjacency payload: 3 x 32-bit ids per (completed) triple,
-        stored twice (out-adjacency + predicate index)."""
-        return len(self.triples) * 3 * 32 * 2
-
 
 class _Budget:
     """Wall-clock budget shared by one baseline evaluation."""
@@ -211,10 +206,6 @@ class BaselineEngine:
         if object_id is not None:
             return {(object_id, object_id)}
         return {(v, v) for v in self.all_nodes()}
-
-    def size_in_bits(self) -> int:
-        """Measured footprint of the engine's own data (adjacency)."""
-        return self.graph.size_in_bits()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(|G|={len(self.graph.triples)})"

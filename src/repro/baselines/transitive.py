@@ -109,9 +109,6 @@ class SemiNaiveEngine(BaselineEngine):
             reached.add(object_id)
         return {(s, object_id) for s in reached}
 
-    def _evaluate_domain(self) -> range:
-        return self.all_nodes()
-
 
 class _RelationalEvaluator:
     """Materialises every subexpression as a relation."""

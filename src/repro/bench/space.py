@@ -2,9 +2,9 @@
 
 Two kinds of numbers are produced:
 
-* **measured** — actual bits allocated by our own structures (ring
-  wavelet matrices with their rank directories; raw adjacency arrays
-  for the baselines);
+* **measured** — the ring's audited size, ``Ring.measure()``: every
+  buffer of its wavelet matrices, rank directories and boundary
+  arrays, the same tree ``repro space`` prints;
 * **modeled** — the storage profile of the real systems the baselines
   stand in for, derived from their documented index layouts rather
   than hardcoded to the paper's table:
@@ -77,17 +77,11 @@ SYSTEM_MODELS = {
 
 
 def ring_bytes_per_edge(index: RingIndex) -> float:
-    """Measured ring size per original (pre-completion) edge."""
+    """Audited ring size (``Ring.measure()``) per original
+    (pre-completion) edge."""
     completed = len(index.ring)
     original = max(1, completed // 2) if completed else 1
-    return index.ring.size_in_bits() / 8 / original
-
-
-def ring_model_bytes_per_edge(index: RingIndex) -> float:
-    """sdsl-modeled ring size per original edge (§5 layout)."""
-    completed = len(index.ring)
-    original = max(1, completed // 2) if completed else 1
-    return index.ring.size_in_bits_model() / 8 / original
+    return index.ring.measure().nbytes / original
 
 
 def packed_bytes_per_edge(index: RingIndex) -> float:

@@ -141,7 +141,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     print(f"nodes            : {d.num_nodes}")
     print(f"predicates (P+)  : {d.num_predicates}")
     print(f"completed triples: {completed}")
-    print(f"ring size        : {index.ring.size_in_bits() / 8 / 1024:.1f} KiB")
+    print(f"ring size        : {index.ring.measure().nbytes / 1024:.1f} KiB")
     print(f"bytes/edge       : {ring_bytes_per_edge(index):.2f}")
     print(f"packed baseline  : {packed_bytes_per_edge(index):.2f}")
     print(f"working space    : +{working_space_bytes_per_edge(index):.2f}")
@@ -163,7 +163,7 @@ def cmd_space(args: argparse.Namespace) -> int:
     """
     import json
 
-    from repro.obs.space import audit_index, audit_manifest
+    from repro.obs.space import audit_manifest
     from repro.ring.snapshot import _write_payload, attach_index, \
         snapshot_index
 
@@ -178,7 +178,7 @@ def cmd_space(args: argparse.Namespace) -> int:
         store = PredicateMatrices.from_index(index)
         matrix_cold = store.measure("matrix")
         store.decode_all()
-    root = audit_index(index)
+    root = index.measure()
     manifest, buffers = snapshot_index(index)
     snap = audit_manifest(manifest)
     # Attach a view-backed ring over the snapshot payload: its audit is

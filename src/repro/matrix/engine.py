@@ -124,10 +124,6 @@ class MatrixRPQEngine:
         """The shared label dictionary."""
         return self.index.dictionary
 
-    def size_in_bits(self) -> int:
-        """Footprint of the predicate matrices decoded so far."""
-        return self.store.size_in_bits()
-
     # ------------------------------------------------------------------
 
     def _prepare(self, expr: RegexNode, stats: QueryStats) -> _Prepared:

@@ -122,14 +122,6 @@ class PredicateMatrices:
         """Predicate ids that have at least one edge, sorted."""
         return np.flatnonzero(np.diff(self._c_p)).tolist()
 
-    def size_in_bits(self) -> int:
-        """Footprint of the blocks decoded so far: CSR index arrays
-        plus the bool payload."""
-        return 8 * sum(
-            m.indptr.nbytes + m.indices.nbytes + m.data.nbytes
-            for m in self._matrices.values()
-        )
-
     def measure(self, name: str = "matrix"):
         """Space-audit tree of the *decoded* blocks: per-predicate CSR
         triplets (indptr, indices, data), so the audit can localise

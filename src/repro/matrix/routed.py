@@ -104,9 +104,5 @@ class RoutedRPQEngine:
         plan["backend_reason"] = _REASONS[backend]
         return plan
 
-    def size_in_bits(self) -> int:
-        """Extra footprint over the ring: the matrix blocks decoded so far."""
-        return self.matrix_engine.size_in_bits()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RoutedRPQEngine({self.index!r})"

@@ -54,7 +54,6 @@ from repro.obs.record import QueryRecord
 from repro.obs.slowlog import SlowQueryLog
 from repro.obs.space import (
     SpaceNode,
-    audit_index,
     audit_manifest,
     audit_metrics,
     audit_service,
@@ -76,7 +75,6 @@ __all__ = [
     "Span",
     "SpaceNode",
     "SpanStack",
-    "audit_index",
     "audit_manifest",
     "audit_metrics",
     "audit_service",

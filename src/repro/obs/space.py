@@ -22,10 +22,12 @@ Design constraints:
   raises :class:`~repro.errors.InvariantViolation`.  The acceptance
   criterion "the ring total agrees with the sum of its children exactly"
   is therefore structural, not incidental.
+* **One size.**  ``measure()`` is the only size API of a storage
+  structure: Table 2, ``repro stats``, ``repro space``, ``/debug/space``
+  and the benchmark all read these trees.
 * **Mirror convention.**  Python-int mirrors (``BitVector._words_py``,
   ``BoundaryArray._py``, ...) are decode caches of the numpy payload and
-  are excluded from the audit, matching the long-standing convention in
-  ``size_in_bits()`` docstrings.  Aliased buffers (a view-attached
+  are excluded from the audit.  Aliased buffers (a view-attached
   ``BitVector`` whose ``_words`` is a slice of the snapshot's
   sentinel-extended buffer) are counted once.  No query, fingerprint or
   snapshot export stores anything on the index, so an audit reads the
@@ -45,7 +47,6 @@ from repro.errors import InvariantViolation
 __all__ = [
     "SpaceNode",
     "deep_getsizeof",
-    "audit_index",
     "audit_manifest",
     "audit_metrics",
     "audit_service",
@@ -249,13 +250,6 @@ def deep_getsizeof(obj: Any, _seen: "set[int] | None" = None) -> int:
 # ---------------------------------------------------------------------------
 
 
-def audit_index(index: Any, name: str = "index") -> SpaceNode:
-    """Audit a :class:`~repro.ring.builder.RingIndex` (ring + dictionary +
-    the sparse backend's decoded blocks, if it has a store).  Thin
-    wrapper over the index's own ``measure()`` hook."""
-    return index.measure(name)
-
-
 def audit_manifest(manifest: "dict[str, Any]", name: str = "snapshot") -> SpaceNode:
     """Audit a ``ring-snapshot/v1`` manifest's segment layout.
 
@@ -332,7 +326,7 @@ def audit_service(service: Any, name: str = "service") -> SpaceNode:
     """Audit a serving tier: the index it serves plus its mutable state
     (result cache, flight recorder, metrics registry, and — for the
     process tier — the shared-memory snapshot segment)."""
-    children = [audit_index(service.index, "index")]
+    children = [service.index.measure("index")]
     cache = getattr(service, "cache", None)
     if cache is not None and hasattr(cache, "measure"):
         children.append(cache.measure("cache"))

@@ -206,18 +206,6 @@ class RingIndex:
     # Space accounting
     # ------------------------------------------------------------------
 
-    def size_in_bits(self, include_dictionary: bool = False) -> int:
-        """Index size; the paper reports the ring without the dictionary."""
-        bits = self.ring.size_in_bits()
-        if include_dictionary:
-            bits += self.dictionary.size_in_bits()
-        return bits
-
-    def bytes_per_triple(self) -> float:
-        """Bytes per *completed* triple (the paper's space unit)."""
-        n = max(1, len(self.ring))
-        return self.ring.size_in_bits() / 8 / n
-
     def measure(self, name: str = "index"):
         """Space-audit tree: ring columns + dictionary, plus the sparse
         backend's block cache when one hangs off this index — the
@@ -226,10 +214,7 @@ class RingIndex:
 
         children = [
             self.ring.measure("ring"),
-            SpaceNode("dictionary", self.dictionary.size_in_bits() // 8,
-                      kind="dictionary",
-                      detail={"nodes": self.dictionary.num_nodes,
-                              "predicates": self.dictionary.num_predicates}),
+            self.dictionary.measure("dictionary"),
         ]
         store = getattr(self, "_matrix_store", None)
         if store is not None:

@@ -170,9 +170,14 @@ class Dictionary:
         s, p, o = triple
         return (self._nodes[s], self._preds[p], self._nodes[o])
 
-    def size_in_bits(self) -> int:
-        """Rough dictionary footprint: UTF-8 label bytes + offsets."""
+    def measure(self, name: str = "dictionary"):
+        """Space-audit leaf, an estimate: UTF-8 label bytes plus one
+        32-bit offset per label."""
+        from repro.obs.space import SpaceNode
+
         label_bytes = sum(len(x.encode("utf-8")) for x in self._nodes)
         label_bytes += sum(len(x.encode("utf-8")) for x in self._preds)
-        offsets = (len(self._nodes) + len(self._preds)) * 32
-        return label_bytes * 8 + offsets
+        offsets = (len(self._nodes) + len(self._preds)) * 4
+        return SpaceNode(name, label_bytes + offsets, kind="dictionary",
+                         detail={"nodes": self.num_nodes,
+                                 "predicates": self.num_predicates})

@@ -112,12 +112,6 @@ class BoundaryArray:
         """True when backed by the Elias-Fano encoding."""
         return self._ef is not None
 
-    def size_in_bits(self) -> int:
-        """Actually allocated bits."""
-        if self._plain is not None:
-            return self._plain.nbytes * 8
-        return self._ef.size_in_bits()
-
     def measure(self, name: str = "boundary"):
         """Space-audit node, reporting which form backs the array.
 
@@ -494,31 +488,6 @@ class Ring:
     # ------------------------------------------------------------------
     # Space accounting
     # ------------------------------------------------------------------
-
-    def size_in_bits(self) -> int:
-        """Actually allocated bits of all columns and boundary arrays."""
-        total = self.L_p.size_in_bits() + self.L_s.size_in_bits()
-        total += self.C_o.size_in_bits() + self.C_p.size_in_bits()
-        if self.L_o is not None:
-            total += self.L_o.size_in_bits()
-        if self.C_s is not None:
-            total += self.C_s.size_in_bits()
-        return total
-
-    def size_in_bits_model(self) -> int:
-        """sdsl-style space model (what the paper's C++ build allocates).
-
-        ``L_p``/``L_s`` wavelet matrices with 25% rank overhead, ``C_o``
-        as a sparse bitvector of ``n + |V|`` bits, ``C_p`` as a plain
-        integer array — matching §5 "Index construction".
-        """
-        total = self.L_p.size_in_bits_model() + self.L_s.size_in_bits_model()
-        c_o_bits = (self._n + self._num_nodes) + (self._n + self._num_nodes) // 4
-        c_p_bits = (self._num_preds + 1) * max(1, self._n.bit_length())
-        total += c_o_bits + c_p_bits
-        if self.L_o is not None:
-            total += self.L_o.size_in_bits_model()
-        return total
 
     def measure(self, name: str = "ring"):
         """Space-audit tree: per-column wavelet matrices and boundary

@@ -9,9 +9,8 @@ This is the Python analogue of sdsl-lite's ``bit_vector`` +
 ``rank_support_v`` + ``select_support_mcl`` combination used by the
 paper's C++ implementation.  The directory here is word-granular (one
 32-bit counter per 64 payload bits) because in CPython the dominant cost
-is interpreter overhead, not cache misses; :meth:`size_in_bits` reports
-the actually allocated bits and :meth:`size_in_bits_model` the space an
-sdsl-style 25%-overhead build would use, so benchmarks can report both.
+is interpreter overhead, not cache misses; :meth:`measure` reports the
+actually allocated buffers.
 """
 
 from __future__ import annotations
@@ -286,14 +285,6 @@ class BitVector:
     # ------------------------------------------------------------------
     # Space accounting
     # ------------------------------------------------------------------
-
-    def size_in_bits(self) -> int:
-        """Bits actually allocated: payload words plus rank directory."""
-        return self._words.nbytes * 8 + self._cum.nbytes * 8
-
-    def size_in_bits_model(self) -> int:
-        """Space model of an sdsl-style build: ``n`` payload + 25% rank."""
-        return self._n + self._n // 4
 
     def measure(self, name: str = "bitvector"):
         """Space-audit node: payload words and rank directory, separately.

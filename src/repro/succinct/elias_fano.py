@@ -96,21 +96,6 @@ class EliasFano:
                 hi = mid
         return lo
 
-    def size_in_bits(self) -> int:
-        """Actually allocated bits (lows + highs + directories)."""
-        return self._lows.size_in_bits() + self._highs.size_in_bits()
-
-    def size_in_bits_model(self) -> int:
-        """The textbook EF bound: ``n(2 + log(u/n))`` + 25% select."""
-        if self._n == 0:
-            return 0
-        import math
-
-        per_item = 2 + max(0, math.ceil(
-            math.log2(max(1, self._universe / self._n))
-        ))
-        return int(self._n * per_item * 1.25)
-
     def measure(self, name: str = "elias_fano"):
         """Space-audit node: packed low halves + upper-bits bitvector."""
         from repro.obs.space import SpaceNode

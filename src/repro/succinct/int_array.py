@@ -92,10 +92,6 @@ class PackedIntArray:
         """Unpack into an ``int64`` numpy array."""
         return np.fromiter(self, dtype=np.int64, count=self._n)
 
-    def size_in_bits(self) -> int:
-        """Actually allocated bits (includes the single pad word)."""
-        return self._words.nbytes * 8
-
     def measure(self, name: str = "packed_int_array"):
         """Space-audit node: the packed word buffer (pad word included)."""
         from repro.obs.space import SpaceNode

@@ -703,25 +703,11 @@ class WaveletMatrix:
     # Space accounting
     # ------------------------------------------------------------------
 
-    def size_in_bits(self) -> int:
-        """Actually allocated bits: level bitvectors + per-symbol tables."""
-        total = sum(bv.size_in_bits() for bv in self._levels)
-        total += self._counts.nbytes * 8 + self._bottom_start.nbytes * 8
-        return total
-
-    def size_in_bits_model(self) -> int:
-        """sdsl-style model: n·ceil(log sigma)(1 + 25% rank) + C array."""
-        payload = sum(bv.size_in_bits_model() for bv in self._levels)
-        c_array = (self._sigma + 1) * max(1, (self._n + 1).bit_length())
-        return payload + c_array
-
     def measure(self, name: str = "wavelet_matrix"):
         """Space-audit node: per-level bitvectors plus the symbol tables.
 
-        Unlike :meth:`size_in_bits` (which pins the paper's Table-2
-        accounting and omits the derived ``class_cum`` prefix sums), the
-        audit counts every allocated buffer, ``class_cum`` included, so
-        audited totals telescope to real memory.
+        Every allocated buffer counts, the derived ``class_cum`` prefix
+        sums included, so audited totals telescope to real memory.
         """
         from repro.obs.space import SpaceNode
 

@@ -96,8 +96,12 @@ class TestBasics:
 
     def test_size_accounting(self):
         bv = BitVector([1] * 1000)
-        assert bv.size_in_bits() >= 1000
-        assert bv.size_in_bits_model() == 1000 + 250
+        node = bv.measure()
+        # 1000 bits fill 16 payload words; the directory has one
+        # counter per word plus the total.
+        assert node.find("bitvector.words").nbytes == 16 * 8
+        assert node.find("bitvector.rank_directory").nbytes == 17 * 4
+        assert node.nbytes * 8 >= 1000
 
 
 @settings(max_examples=60, deadline=None)

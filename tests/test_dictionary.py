@@ -94,4 +94,4 @@ class TestLookup:
 
     def test_size_in_bits(self):
         d = Dictionary.from_graph(simple_graph())
-        assert d.size_in_bits() > 0
+        assert d.measure().nbytes > 0

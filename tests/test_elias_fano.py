@@ -37,7 +37,7 @@ class TestBasics:
         ef = EliasFano(values)
         assert list(ef) == values
         # heavily sparse sequences compress far below 64 bits/entry
-        assert ef.size_in_bits() < 3 * 64 * 10
+        assert ef.measure().nbytes * 8 < 3 * 64 * 10
 
     def test_non_monotone_rejected(self):
         with pytest.raises(ConstructionError):
@@ -61,8 +61,11 @@ class TestBasics:
         assert ef.successor_index(10) == 4
 
     def test_size_model(self):
-        ef = EliasFano(list(range(0, 1000, 7)))
-        assert ef.size_in_bits_model() > 0
+        values = list(range(0, 1000, 7))
+        ef = EliasFano(values)
+        node = ef.measure()
+        node.check()
+        assert 0 < node.nbytes < 8 * len(values)
 
 
 @settings(max_examples=60, deadline=None)

@@ -124,8 +124,9 @@ class TestRangesAndSearch:
 
     def test_size_accounting(self):
         ring = build_ring([(0, 0, 1), (1, 1, 0)], 2, 2)
-        assert ring.size_in_bits() > 0
-        assert ring.size_in_bits_model() > 0
+        node = ring.measure()
+        node.check()
+        assert node.nbytes > 0
 
     def test_selectivity_statistics(self):
         rng = random.Random(5)
@@ -159,9 +160,11 @@ class TestRingIndex:
     def test_bytes_per_triple(self):
         g = random_graph(12, 40, 3, seed=11)
         index = RingIndex.from_graph(g)
-        assert index.bytes_per_triple() > 0
-        assert index.size_in_bits(include_dictionary=True) > \
-            index.size_in_bits()
+        root = index.measure()
+        ring = root.find("index.ring")
+        assert ring.bits_per_triple(len(index.ring)) > 0
+        assert root.nbytes > ring.nbytes
+        assert root.find("index.dictionary").nbytes > 0
 
     def test_engine_property_cached(self):
         index = RingIndex.from_triples([("a", "p", "b")])

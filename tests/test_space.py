@@ -31,7 +31,6 @@ from repro.obs.export import label_key, unescape_label
 from repro.obs.space import (
     SPACE_GAUGE_FAMILY,
     SpaceNode,
-    audit_index,
     audit_manifest,
     audit_metrics,
     audit_service,
@@ -172,21 +171,28 @@ class TestBitVectorMeasure:
 
 class TestWaveletMatrixMeasure:
     def test_accounts_every_level_plus_tables(self, kg_graph):
-        # A fresh index: the session-scoped fixtures may have lazily
-        # materialised batch buffers, which measure() rightly counts
-        # but which size_in_bits() never includes.
         wm = RingIndex.from_graph(kg_graph).ring.L_p
         node = wm.measure("L_p")
         node.check()
-        level_names = {c.name for c in node.children}
-        assert "tables" in level_names
-        assert any(name.startswith("level") for name in level_names)
-        # measure() counts every allocated buffer; size_in_bits() pins
-        # Table 2 and omits the class-occurrence tables.  The delta is
-        # exactly those tables.
-        class_cum = node.find("L_p.tables.class_cum")
-        assert class_cum is not None
-        assert node.nbytes * 8 == wm.size_in_bits() + class_cum.nbytes * 8
+        # One node per level bit-vector, then the three symbol tables.
+        assert [c.name for c in node.children] == [
+            f"level{i}" for i in range(len(wm._levels))
+        ] + ["tables"]
+        tables = {
+            "counts": wm._counts,
+            "class_cum": wm._class_cum,
+            "bottom_start": wm._bottom_start,
+        }
+        assert [c.name for c in node.find("L_p.tables").children] == \
+            list(tables)
+        for table, array in tables.items():
+            assert node.find(f"L_p.tables.{table}").nbytes == array.nbytes
+        # The total is every allocated buffer, counted from the arrays
+        # themselves: payload words and rank directory of each level,
+        # plus the tables.
+        assert node.nbytes == sum(
+            bv._words.nbytes + bv._cum.nbytes for bv in wm._levels
+        ) + sum(array.nbytes for array in tables.values())
 
 
 class TestRingMeasure:
@@ -206,36 +212,39 @@ class TestRingMeasure:
         assert node.find("ring.C_o").detail.get("form") == "elias-fano"
 
     def test_audit_index_covers_dictionary(self, kg_index):
-        root = audit_index(kg_index)
+        root = kg_index.measure()
         root.check()
         dictionary = root.find("index.dictionary")
         assert dictionary is not None
-        assert dictionary.nbytes == kg_index.dictionary.size_in_bits() // 8
+        assert dictionary.nbytes == kg_index.dictionary.measure().nbytes > 0
 
     def test_audit_index_follows_the_decoded_matrix_blocks(self, kg_graph):
         pytest.importorskip("scipy")
         from repro.matrix.matrices import PredicateMatrices
 
         index = RingIndex.from_graph(kg_graph)
-        assert audit_index(index).find("index.matrix") is None
+        assert index.measure().find("index.matrix") is None
         store = PredicateMatrices.from_index(index)
-        cold = audit_index(index).find("index.matrix")
+        cold = index.measure().find("index.matrix")
         assert cold.nbytes == 0 and not cold.children
         assert cold.detail["decoded"] == 0
         assert cold.detail["predicates"] == len(store.predicates)
         first = store.predicates[0]
         block = store.matrix(first)
-        one = audit_index(index).find("index.matrix")
+        one = index.measure().find("index.matrix")
         assert [c.name for c in one.children] == [f"p{first}"]
         assert one.nbytes == (block.indptr.nbytes + block.indices.nbytes
                               + block.data.nbytes)
         store.decode_all()
-        full = audit_index(index)
+        full = index.measure()
         full.check()
         matrix = full.find("index.matrix")
         assert matrix.detail["decoded"] == len(store.predicates)
-        assert matrix.nbytes == store.measure().nbytes \
-            == store.size_in_bits() // 8
+        blocks = [store.matrix(p) for p in store.predicates]
+        assert matrix.nbytes == store.measure().nbytes == sum(
+            m.indptr.nbytes + m.indices.nbytes + m.data.nbytes
+            for m in blocks
+        )
 
 
 # ----------------------------------------------------------------------
@@ -543,6 +552,34 @@ class TestSpaceCLI:
             c for c in report["index"]["children"] if c["name"] == "ring"
         )
         assert ring["bytes"] == totals["ring_bytes"]
+
+    def test_table2_stats_and_space_report_one_ring(self, tmp_path, capsys):
+        """Table 2's ring cell, ``repro stats`` and ``repro space`` all
+        print the one audited ring size."""
+        from repro.bench.context import tiny_context
+        from repro.bench.table2 import compute_table2
+        from repro.cli import main
+
+        context = tiny_context()
+        ring_cell = compute_table2(context).space["ring"]
+        path = tmp_path / "tiny.nt"
+        save_graph(context.graph, path)
+        assert main(["space", str(path), "--json"]) == 0
+        totals = json.loads(capsys.readouterr().out)["totals"]
+        assert main(["stats", str(path)]) == 0
+        stats = {
+            key.strip(): value.strip()
+            for key, _, value in (
+                line.partition(":")
+                for line in capsys.readouterr().out.splitlines()
+            )
+        }
+        ring_bytes = totals["ring_bytes"]
+        assert ring_bytes == context.index.ring.measure().nbytes
+        edges = totals["n_triples"] // 2
+        assert ring_cell == pytest.approx(ring_bytes / edges, rel=1e-12)
+        assert stats["ring size"] == f"{ring_bytes / 1024:.1f} KiB"
+        assert stats["bytes/edge"] == f"{ring_cell:.2f}"
 
     def test_tiny_chain_graph_still_audits(self, tmp_path, capsys):
         from repro.cli import main

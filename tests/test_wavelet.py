@@ -89,7 +89,7 @@ class TestCommonOperations:
         assert structure.to_list() == SEQ
 
     def test_size_in_bits_positive(self, structure):
-        assert structure.size_in_bits() > 0
+        assert structure.measure().nbytes > 0
 
 
 class TestConstruction:

@@ -8,7 +8,7 @@ reference implementation the matrix is differential-tested against in
 ``tests/test_wavelet.py`` (``range_intersect`` included).
 
 Both classes deliberately share method names (``access``, ``rank``,
-``select``, ``range_distinct``, ``size_in_bits``) so tests can run the
+``select``, ``range_distinct``, ``measure``) so tests can run the
 same scenario against either.
 """
 
@@ -216,16 +216,21 @@ class WaveletTree:
 
     # ------------------------------------------------------------------
 
-    def size_in_bits(self) -> int:
-        """Actually allocated bits across all node bitvectors."""
-        total = self._counts.nbytes * 8
+    def measure(self, name: str = "wavelet_tree"):
+        """Space-audit node: every node bitvector plus the counts table."""
+        from repro.obs.space import SpaceNode
 
-        def walk(node: _Node | None) -> int:
-            if node is None:
-                return 0
-            return node.bits.size_in_bits() + walk(node.left) + walk(node.right)
+        children = []
 
-        return total + walk(self._root)
+        def walk(node: _Node | None) -> None:
+            if node is not None:
+                children.append(node.bits.measure(f"node{len(children)}"))
+                walk(node.left)
+                walk(node.right)
+
+        walk(self._root)
+        children.append(SpaceNode("counts", self._counts.nbytes, kind="buffer"))
+        return SpaceNode(name, children=children, kind="wavelet_tree")
 
     def _check_symbol(self, symbol: int) -> None:
         if not 0 <= symbol < self._sigma:
