@@ -9,17 +9,16 @@ the role the sdsl-lite C++ library plays in the paper's implementation:
   integer array (the "packed form" baseline for space accounting);
 * :class:`~repro.succinct.wavelet_matrix.WaveletMatrix` — the wavelet
   matrix of Claude, Navarro & Ordóñez, used by the ring for its large
-  node/predicate alphabets; exposes the *virtual node* API that the
-  Ring-RPQ engine walks with its ``B[v]``/``D[v]`` automaton masks.
+  node/predicate alphabets: ``access``/``rank``/``select``, scalar range
+  queries over one stack walk, and the batched ``descend_batch``.
 """
 
 from repro.succinct.bitvector import BitVector
 from repro.succinct.int_array import PackedIntArray
-from repro.succinct.wavelet_matrix import WaveletMatrix, WaveletNode
+from repro.succinct.wavelet_matrix import WaveletMatrix
 
 __all__ = [
     "BitVector",
     "PackedIntArray",
     "WaveletMatrix",
-    "WaveletNode",
 ]

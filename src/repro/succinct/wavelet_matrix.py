@@ -3,22 +3,23 @@
 The ring represents its BWT columns ``L_s`` and ``L_p`` with wavelet
 matrices (Claude, Navarro & Ordóñez 2015), exactly as the paper's C++
 implementation does.  Besides the classical ``access``/``rank``/``select``
-operations, this implementation exposes the *virtual node* interface the
-Ring-RPQ engine needs:
+operations, the matrix answers range queries over the conceptual wavelet
+tree restricted to a position range ``[b, e)``:
 
-* :meth:`WaveletMatrix.root` / :meth:`WaveletMatrix.children` let a
-  caller walk the conceptual wavelet tree restricted to a position range
-  ``[b, e)``, pruning subtrees at will — the engine prunes with its
-  ``B[v]`` and ``D[v]`` automaton masks (paper §4.1–§4.2);
-* :meth:`WaveletMatrix.range_distinct` enumerates the distinct symbols
-  in a range in :math:`O(\\log\\sigma)` time per reported symbol;
+* :meth:`WaveletMatrix.range_distinct`, :meth:`~WaveletMatrix.range_count_distinct`
+  and :meth:`~WaveletMatrix.range_next_value` share one scalar stack walk
+  over plain ``(level, prefix, b, e)`` ints, O(log sigma) per reported
+  symbol;
+* :meth:`WaveletMatrix.descend_batch` carries many ranges down together,
+  one vectorized rank call per level, with an optional per-level prune
+  hook — the shape the RPQ engine's ``B[v]``/``D[v]`` pruning takes
+  (paper §4.1–§4.2);
 * :meth:`WaveletMatrix.range_intersect` intersects the symbol sets of
   two ranges (used by the §5 fast path for length-2 paths).
 
-Every conceptual node is identified by ``(level, prefix)`` where
-``prefix`` is the top ``level`` bits of the symbols below it; this id is
-hashable, so per-node annotations live in plain dicts, which gives the
-lazy initialisation the paper performs explicitly in C++.
+A conceptual node is ``(level, prefix)``, where ``prefix`` is the top
+``level`` bits of the symbols below it.  The engine's own hot loops walk
+the raw level arrays (:meth:`~WaveletMatrix.traversal_data`) the same way.
 """
 
 from __future__ import annotations
@@ -38,60 +39,6 @@ def _bit_reverse(value: int, width: int) -> int:
         out = (out << 1) | (value & 1)
         value >>= 1
     return out
-
-
-class WaveletNode:
-    """A conceptual wavelet tree node restricted to a query range.
-
-    A plain ``__slots__`` value type (not a dataclass): the RPQ engine
-    creates millions of these in its inner loop.
-
-    Attributes
-    ----------
-    level:
-        Depth; 0 is the root, ``matrix.height`` is a leaf.
-    prefix:
-        The top ``level`` bits shared by all symbols below this node.
-    begin, end:
-        Half-open position range of the query's occurrences inside this
-        node's interval of the level-``level`` sequence.
-    """
-
-    __slots__ = ("level", "prefix", "begin", "end")
-
-    def __init__(self, level: int, prefix: int, begin: int, end: int):
-        self.level = level
-        self.prefix = prefix
-        self.begin = begin
-        self.end = end
-
-    @property
-    def node_id(self) -> tuple[int, int]:
-        """Hashable identity of the conceptual node (ignores the range)."""
-        return (self.level, self.prefix)
-
-    def __len__(self) -> int:
-        return self.end - self.begin
-
-    def is_empty(self) -> bool:
-        """True when the query range has no occurrence below this node."""
-        return self.end <= self.begin
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WaveletNode):
-            return NotImplemented
-        return (self.level, self.prefix, self.begin, self.end) == (
-            other.level, other.prefix, other.begin, other.end
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.level, self.prefix, self.begin, self.end))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"WaveletNode(level={self.level}, prefix={self.prefix}, "
-            f"range=[{self.begin}, {self.end}))"
-        )
 
 
 class WaveletMatrix:
@@ -248,12 +195,7 @@ class WaveletMatrix:
 
     def rank(self, symbol: int, i: int) -> int:
         """Occurrences of ``symbol`` in positions ``[0, i)``; O(log sigma)."""
-        self._check_symbol(symbol)
-        if i <= 0:
-            return 0
-        i = min(i, self._n)
-        pos = self._walk_down(symbol, i)
-        return pos - int(self._bottom_start[symbol])
+        return self.rank_pair(symbol, 0, i)[1]
 
     def rank_pair(self, symbol: int, b: int, e: int) -> tuple[int, int]:
         """``(rank(symbol, b), rank(symbol, e))`` sharing the path walk."""
@@ -371,36 +313,8 @@ class WaveletMatrix:
         return pos - int(self._bottom_start[symbol])
 
     # ------------------------------------------------------------------
-    # Virtual-node traversal API (used by the Ring-RPQ engine)
+    # Raw arrays and the batched descent
     # ------------------------------------------------------------------
-
-    def root(self, b: int = 0, e: int | None = None) -> WaveletNode:
-        """The root node restricted to range ``[b, e)`` of the sequence."""
-        if e is None:
-            e = self._n
-        b = max(0, min(b, self._n))
-        e = max(0, min(e, self._n))
-        return WaveletNode(level=0, prefix=0, begin=b, end=e)
-
-    def is_leaf(self, node: WaveletNode) -> bool:
-        """True when ``node`` sits at the bottom level (one symbol)."""
-        return node.level == self._height
-
-    def leaf_symbol(self, node: WaveletNode) -> int:
-        """The single symbol represented by a leaf node."""
-        if not self.is_leaf(node):
-            raise ValueError("leaf_symbol() called on an internal node")
-        return node.prefix
-
-    def node_symbol_range(self, node: WaveletNode) -> tuple[int, int]:
-        """Half-open symbol interval ``[lo, hi)`` covered by ``node``.
-
-        ``hi`` may exceed ``sigma`` for the rightmost nodes when sigma
-        is not a power of two; such symbols simply never occur.
-        """
-        span = 1 << (self._height - node.level)
-        lo = node.prefix << (self._height - node.level)
-        return lo, lo + span
 
     def traversal_data(self) -> tuple:
         """Low-level arrays for external high-performance walkers.
@@ -408,10 +322,10 @@ class WaveletMatrix:
         Returns ``(levels, zeros, height, sigma, class_cum,
         bottom_start)`` where ``levels[l]`` is ``(words, cum, n_bits)``
         with ``words``/``cum`` as plain Python-int lists (the bitvector
-        rank fast path).  The RPQ engine's inner loops use this instead
-        of the object-based node API: the traversal logic is identical,
-        but skipping per-node object construction and method dispatch
-        is worth ~2x under CPython.  Treat the arrays as read-only.
+        rank fast path).  The RPQ engine's inner loops walk these
+        inline instead of calling back into the matrix: skipping the
+        method dispatch per node matters under CPython.  Treat the
+        arrays as read-only.
         """
         levels = [
             (bv._words_py, bv._cum_py, len(bv)) for bv in self._levels
@@ -527,55 +441,39 @@ class WaveletMatrix:
         start = self._bottom_start[prefix]
         return origin, prefix, b - start, e - start
 
-    def node_occurrences(self, node: WaveletNode) -> int:
-        """Total sequence positions under conceptual node ``node``.
-
-        When this equals ``len(node)`` the query range *covers* the
-        node: every occurrence of every symbol below it lies inside the
-        range.  The RPQ engine may only record its ``D[v]`` visited
-        masks on covered nodes — recording on a partially covered node
-        would claim visits to subjects the traversal never reached.
-        """
-        lo, hi = self.node_symbol_range(node)
-        hi = min(hi, self._sigma)
-        if lo >= hi:
-            return 0
-        return int(self._class_cum[hi] - self._class_cum[lo])
-
-    def children(self, node: WaveletNode) -> tuple[WaveletNode, WaveletNode]:
-        """Left and right child nodes with mapped ranges.
-
-        Either child may be empty (``is_empty()``); callers typically
-        skip those.  Calling this on a leaf is an error.
-        """
-        if self.is_leaf(node):
-            raise ValueError("children() called on a leaf node")
-        bv = self._levels[node.level]
-        b0 = bv.rank0(node.begin)
-        e0 = bv.rank0(node.end)
-        z = self._zeros[node.level]
-        b1 = z + (node.begin - b0)
-        e1 = z + (node.end - e0)
-        left = WaveletNode(node.level + 1, node.prefix << 1, b0, e0)
-        right = WaveletNode(node.level + 1, (node.prefix << 1) | 1, b1, e1)
-        return left, right
-
-    def leaf_global_range(self, node: WaveletNode) -> tuple[int, int]:
-        """Rank interval of a leaf: occurrences of its symbol before the
-        query range's start and end, as ``(rank_b, rank_e)``.
-
-        For a leaf reached from root range ``[b, e)`` this equals
-        ``(rank(c, b), rank(c, e))`` — exactly what a backward-search
-        step (Eqs. 4–5 of the paper) needs, obtained without re-walking.
-        """
-        if not self.is_leaf(node):
-            raise ValueError("leaf_global_range() called on an internal node")
-        start = int(self._bottom_start[node.prefix])
-        return node.begin - start, node.end - start
-
     # ------------------------------------------------------------------
     # Range algorithms
     # ------------------------------------------------------------------
+
+    def _leaves(self, b: int, e: int,
+                lower: int = 0) -> Iterator[tuple[int, int, int]]:
+        """The scalar walk: yield ``(symbol, b, e)`` per distinct symbol
+        ``>= lower`` in ``[b, e)``, ascending, with ``b``/``e`` in
+        bottom-sequence positions.
+
+        A stack of plain ``(level, prefix, b, e)`` ints; an internal
+        node costs two rank calls.  Empty ranges and subtrees whose
+        symbols all lie below ``lower`` are skipped, and the right child
+        is pushed before the left, so leaves pop in symbol order.
+        """
+        height, sigma, n = self._height, self._sigma, self._n
+        levels, zeros = self._levels, self._zeros
+        stack = [(0, 0, max(0, min(b, n)), max(0, min(e, n)))]
+        while stack:
+            level, prefix, b, e = stack.pop()
+            if e <= b or (prefix + 1) << (height - level) <= lower:
+                continue
+            if level == height:
+                if prefix < sigma:
+                    yield prefix, b, e
+                continue
+            bv = levels[level]
+            r1b, r1e = bv.rank1(b), bv.rank1(e)
+            z = zeros[level]
+            level += 1
+            prefix <<= 1
+            stack.append((level, prefix | 1, z + r1b, z + r1e))
+            stack.append((level, prefix, b - r1b, e - r1e))
 
     def range_distinct(self, b: int, e: int) -> Iterator[tuple[int, int, int]]:
         """Yield ``(symbol, rank_b, rank_e)`` for each distinct symbol in
@@ -584,27 +482,10 @@ class WaveletMatrix:
         ``rank_e - rank_b`` is the symbol's multiplicity in the range.
         Runs in O(log sigma) per reported symbol.
         """
-        stack = [self.root(b, e)]
-        out: list[tuple[int, int, int]] = []
-        while stack:
-            node = stack.pop()
-            if node.is_empty():
-                continue
-            if self.is_leaf(node):
-                if node.prefix < self._sigma:
-                    rb, re = self.leaf_global_range(node)
-                    out.append((node.prefix, rb, re))
-                continue
-            left, right = self.children(node)
-            stack.append(right)
-            stack.append(left)
-        # DFS pushed right after left then popped LIFO; ensure symbol order.
-        out.sort(key=lambda t: t[0])
-        yield from out
-
-    def range_list_symbols(self, b: int, e: int) -> list[int]:
-        """Distinct symbols occurring in ``[b, e)``, ascending."""
-        return [sym for sym, _, _ in self.range_distinct(b, e)]
+        start = self._bottom_start
+        for symbol, rb, re in self._leaves(b, e):
+            offset = int(start[symbol])
+            yield symbol, rb - offset, re - offset
 
     def range_intersect(
         self, b1: int, e1: int, b2: int, e2: int
@@ -659,20 +540,7 @@ class WaveletMatrix:
         double the space (colored range counting), which this library
         does not implement.
         """
-        count = 0
-        stack = [self.root(b, e)]
-        while stack:
-            node = stack.pop()
-            if node.is_empty():
-                continue
-            if self.is_leaf(node):
-                if node.prefix < self._sigma:
-                    count += 1
-                continue
-            left, right = self.children(node)
-            stack.append(left)
-            stack.append(right)
-        return count
+        return sum(1 for _ in self._leaves(b, e))
 
     def range_next_value(self, b: int, e: int, lower: int) -> int | None:
         """Smallest symbol ``>= lower`` occurring in ``[b, e)``.
@@ -682,22 +550,8 @@ class WaveletMatrix:
         """
         if lower >= self._sigma or b >= e:
             return None
-        lower = max(lower, 0)
-        return self._next_value(self.root(b, e), lower)
-
-    def _next_value(self, node: WaveletNode, lower: int) -> int | None:
-        if node.is_empty():
-            return None
-        lo, hi = self.node_symbol_range(node)
-        if hi <= lower:
-            return None
-        if self.is_leaf(node):
-            return node.prefix if node.prefix < self._sigma else None
-        left, right = self.children(node)
-        found = self._next_value(left, lower)
-        if found is not None:
-            return found
-        return self._next_value(right, lower)
+        return next((symbol for symbol, _, _ in self._leaves(b, e, lower)),
+                    None)
 
     # ------------------------------------------------------------------
     # Space accounting
@@ -740,17 +594,6 @@ class WaveletMatrix:
             raise ValueError(
                 f"symbol {symbol} outside alphabet [0, {self._sigma})"
             )
-
-    def _walk_down(self, symbol: int, i: int) -> int:
-        """Map position ``i`` down the path of ``symbol`` to the bottom."""
-        for level in range(self._height):
-            bv = self._levels[level]
-            bit = (symbol >> (self._height - 1 - level)) & 1
-            if bit:
-                i = self._zeros[level] + bv.rank1(i)
-            else:
-                i = bv.rank0(i)
-        return i
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

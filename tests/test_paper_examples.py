@@ -142,7 +142,7 @@ class TestFig4WaveletTree:
         d = index.dictionary
         labels = [
             d.predicate_label(p)
-            for p in ring.L_p.range_list_symbols(14, 16)
+            for p, _, _ in ring.L_p.range_distinct(14, 16)
         ]
         assert labels == ["l1", "l5"]
 

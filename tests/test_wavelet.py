@@ -74,9 +74,6 @@ class TestCommonOperations:
                 assert rb == SEQ[:b].count(sym)
                 assert re == SEQ[:e].count(sym)
 
-    def test_range_list_symbols(self, structure):
-        assert structure.range_list_symbols(0, 4) == sorted(set(SEQ[:4]))
-
     def test_range_intersect(self, structure):
         got = structure.range_intersect(0, 6, 6, 12)
         expected = sorted(set(SEQ[0:6]) & set(SEQ[6:12]))
@@ -142,49 +139,6 @@ class TestMatrixSpecific:
                     SEQ[:b].count(c), SEQ[:e].count(c)
                 )
 
-    def test_node_traversal_matches_distinct(self):
-        wm = WaveletMatrix(SEQ, SIGMA)
-        stack = [wm.root(2, 9)]
-        leaves = []
-        while stack:
-            node = stack.pop()
-            if node.is_empty():
-                continue
-            if wm.is_leaf(node):
-                if node.prefix < wm.sigma:
-                    leaves.append(
-                        (wm.leaf_symbol(node), *wm.leaf_global_range(node))
-                    )
-                continue
-            left, right = wm.children(node)
-            stack.append(left)
-            stack.append(right)
-        assert sorted(leaves) == list(wm.range_distinct(2, 9))
-
-    def test_children_on_leaf_raises(self):
-        wm = WaveletMatrix(SEQ, SIGMA)
-        node = wm.root()
-        while not wm.is_leaf(node):
-            node = wm.children(node)[0]
-        with pytest.raises(ValueError):
-            wm.children(node)
-        with pytest.raises(ValueError):
-            wm.leaf_symbol(wm.root())
-        with pytest.raises(ValueError):
-            wm.leaf_global_range(wm.root())
-
-    def test_node_symbol_range_and_occurrences(self):
-        wm = WaveletMatrix(SEQ, SIGMA)
-        root = wm.root()
-        lo, hi = wm.node_symbol_range(root)
-        assert lo == 0 and hi >= SIGMA
-        assert wm.node_occurrences(root) == len(SEQ)
-        left, right = wm.children(root)
-        assert (
-            wm.node_occurrences(left) + wm.node_occurrences(right)
-            == len(SEQ)
-        )
-
     def test_range_next_value(self):
         wm = WaveletMatrix(SEQ, SIGMA)
         for b, e in [(0, 12), (2, 7)]:
@@ -227,13 +181,6 @@ class TestMatrixSpecific:
                     b = zeros[level] + r1 if bit else b - r1
                 assert b - bottom_start[c] == wm.rank(c, i), (c, i)
 
-    def test_node_equality_and_hash(self):
-        wm = WaveletMatrix(SEQ, SIGMA)
-        assert wm.root(0, 3) == wm.root(0, 3)
-        assert wm.root(0, 3) != wm.root(0, 4)
-        assert hash(wm.root(0, 3)) == hash(wm.root(0, 3))
-        assert wm.root(0, 3).node_id == (0, 0)
-
 
 @pytest.mark.hypothesis
 @settings(max_examples=40, deadline=None)
@@ -250,7 +197,17 @@ def test_matrix_matches_tree(data, sigma):
     assert wm.to_list() == wt.to_list() == seq
     b = data.draw(st.integers(min_value=0, max_value=len(seq)))
     e = data.draw(st.integers(min_value=0, max_value=len(seq)))
-    assert list(wm.range_distinct(b, e)) == list(wt.range_distinct(b, e))
+    distinct = list(wm.range_distinct(b, e))
+    assert distinct == list(wt.range_distinct(b, e))
+    assert wm.range_count_distinct(b, e) == len(set(seq[b:e]))
+    origins, symbols, rank_bs, rank_es = wm.descend_batch([(b, e)])
+    assert not origins.any()
+    assert list(zip(symbols.tolist(), rank_bs.tolist(),
+                    rank_es.tolist())) == distinct
+    lower = data.draw(st.integers(min_value=-1, max_value=sigma + 1))
+    above = [v for v in seq[b:e] if v >= lower]
+    assert wm.range_next_value(b, e, lower) == \
+        (min(above) if above else None)
     b2 = data.draw(st.integers(min_value=0, max_value=len(seq)))
     e2 = data.draw(st.integers(min_value=0, max_value=len(seq)))
     assert wm.range_intersect(b, e, b2, e2) == \

@@ -40,10 +40,6 @@ class _Node:
         """Split point: symbols < mid go left, >= mid go right."""
         return (self.lo + self.hi) // 2
 
-    def is_leaf_range(self) -> bool:
-        """True when this node covers a single symbol (conceptual leaf)."""
-        return self.hi - self.lo <= 1
-
 
 class WaveletTree:
     """Balanced wavelet tree over the alphabet ``[0, sigma)``.
@@ -185,10 +181,6 @@ class WaveletTree:
         b1, e1 = b - b0, e - e0
         yield from self._distinct(node.left, lo, node.mid, b0, e0)
         yield from self._distinct(node.right, node.mid, hi, b1, e1)
-
-    def range_list_symbols(self, b: int, e: int) -> list[int]:
-        """Distinct symbols occurring in ``[b, e)``, ascending."""
-        return [sym for sym, _, _ in self.range_distinct(b, e)]
 
     def range_intersect(
         self, b1: int, e1: int, b2: int, e2: int
