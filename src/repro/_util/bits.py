@@ -48,6 +48,18 @@ def popcount_u64(words: np.ndarray) -> np.ndarray:
     return _POPCOUNT8[as_bytes].sum(axis=1, dtype=np.int64)
 
 
+def position_dtype(n: int) -> np.dtype:
+    """The narrowest signed dtype that holds every position ``0..n``.
+
+    ``int32`` while ``n`` fits, else ``int64``.  Signed on purpose: the
+    difference of two table reads stays exact (``uint32 - uint32``
+    wraps below zero), and an ``int32`` read combined with an ``int64``
+    array promotes to ``int64`` (``uint64`` with ``int64`` would go to
+    ``float64``).
+    """
+    return np.dtype(np.int32 if n <= np.iinfo(np.int32).max else np.int64)
+
+
 # Low-bit masks per in-word offset: _LOW_MASKS[k] has the k lowest bits
 # set.  A 64-entry gather replaces a shift + subtract pass per batch.
 _LOW_MASKS = (
@@ -71,8 +83,9 @@ def rank1_many_words(
         callers on hot paths pass that extended form so the boundary
         position needs no index clamp.
     cum:
-        Cumulative per-word popcounts, word count + 1 entries,
-        ``int64`` (so the gathered counts need no upcast).
+        Cumulative per-word popcounts, word count + 1 entries, of any
+        integer width (a built vector's ``uint32``, or the ``int64`` of
+        an old snapshot); the gathered counts promote to ``int64``.
     n_bits:
         Logical length; positions are clipped into ``[0, n_bits]``
         exactly like the scalar ``BitVector.rank1`` clamps.
@@ -88,7 +101,9 @@ def rank1_many_words(
         return np.zeros(0, dtype=np.int64)
     if n_bits == 0 or words.size == 0:
         return np.zeros(pos.shape, dtype=np.int64)
-    clipped = np.clip(pos, 0, n_bits)
+    # minimum(maximum()) rather than np.clip: same values, a fraction
+    # of the per-call overhead at the batch sizes the kernels use.
+    clipped = np.minimum(np.maximum(pos, 0), n_bits)
     word = clipped >> 6
     if len(words) == len(cum):
         # Sentinel-extended payload: position n_bits on a word boundary

@@ -157,9 +157,7 @@ def cmd_space(args: argparse.Namespace) -> int:
     snapshot-segment layout (the ring's buffers, nothing else), then
     cross-checks the serving form: a ring *attached* over the
     snapshot payload must audit within a few percent of the segment's
-    byte size (the delta is the segment's int64-widened rank
-    directories vs the built ring's uint32 ones, plus alignment
-    padding).
+    byte size (the delta is the 64-byte alignment padding).
     """
     import json
 

@@ -80,10 +80,18 @@ class _Budget:
         self.cancel = cancel
         self.ticks = 0
 
-    def tick(self) -> None:
-        """Cheap periodic timeout/cancellation check; raises on expiry."""
-        self.ticks += 1
-        if self.ticks % _TICK_EVERY == 0:
+    def tick(self, n: int = 1) -> None:
+        """Cheap periodic timeout/cancellation check; raises on expiry.
+
+        ``tick(n)`` stands for ``n`` ticks with no work between them:
+        it checks once if they cross a multiple of ``_TICK_EVERY``,
+        the same check at the same instant as the single ticks.
+        """
+        ticks = self.ticks + n
+        self.ticks = ticks
+        # The last n counts crossed a multiple iff the remainder is
+        # below n (always, once n >= _TICK_EVERY).
+        if ticks % _TICK_EVERY < n:
             self.check()
 
     def check(self) -> None:
@@ -682,8 +690,7 @@ class RingRPQEngine:
         try:
             for lo in range(0, len(order), width):
                 chunk = order[lo:lo + width]
-                for _ in chunk:
-                    budget.tick()
+                budget.tick(len(chunk))
                 remaining = (
                     None if limit is None else limit - len(result.pairs)
                 )

@@ -251,11 +251,13 @@ def deep_getsizeof(obj: Any, _seen: "set[int] | None" = None) -> int:
 
 
 def audit_manifest(manifest: "dict[str, Any]", name: str = "snapshot") -> SpaceNode:
-    """Audit a ``ring-snapshot/v1`` manifest's segment layout.
+    """Audit a ``ring-snapshot/v2`` or ``v1`` manifest's segment layout.
 
     Sums every buffer from its dtype and shape, grouped by top-level
-    component (``lp``, ``ls``, ``c_o``, ...; ``mat`` in a file written
-    before the matrices left the snapshot), and accounts the
+    component (``lp``, ``ls``, ``c_p``, ...; ``mat`` in a file written
+    before the matrices left the snapshot; a ``c_o`` that aliases
+    another buffer has no bytes of its own and shows in ``detail``
+    only), and accounts the
     64-byte alignment padding explicitly so the tree's total equals the
     manifest's ``total_bytes`` *exactly* — the same number a live
     ``/dev/shm`` segment of this snapshot occupies (modulo the kernel's
@@ -298,6 +300,7 @@ def audit_manifest(manifest: "dict[str, Any]", name: str = "snapshot") -> SpaceN
             "format": manifest.get("format"),
             "n": manifest.get("n"),
             "buffers": len(manifest["buffers"]),
+            "aliases": dict(manifest.get("aliases", {})),
         },
     )
 

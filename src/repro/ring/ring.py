@@ -11,7 +11,10 @@ keeps the last column of each of the three sorted rotation families:
   column of the triples sorted by ``(s, p)``.
 
 ``C_o`` partitions ``L_p`` by object, ``C_p`` partitions ``L_s`` by
-predicate and ``C_s`` partitions ``L_o`` by subject.  ``L_p`` and
+predicate and ``C_s`` partitions ``L_o`` by subject.  In a completed
+graph every node is a subject exactly as often as it is an object, so
+``C_o`` equals ``L_s``'s ``class_cum`` table and the ring keeps the
+one array for both.  ``L_p`` and
 ``L_s`` carry wavelet-matrix indexes; they are all the RPQ algorithm
 needs (§4: *"we use the wavelet trees representing sequences L_p and
 L_s, as well as all the arrays C"*).  ``L_o`` is optional — the RPQ
@@ -29,6 +32,7 @@ from collections.abc import Iterator, Sequence
 
 import numpy as np
 
+from repro._util.bits import position_dtype
 from repro.errors import ConstructionError
 from repro.obs.metrics import NULL_METRICS
 from repro.succinct.elias_fano import EliasFano
@@ -43,7 +47,8 @@ class BoundaryArray:
     The ring's ``C`` arrays are non-decreasing sequences of triple
     positions; the paper's implementation stores ``C_o`` as a (sparse)
     bitvector, which is exactly what the Elias-Fano option provides
-    here while keeping the plain-array representation as the fast
+    here while keeping the plain-array representation (at
+    :func:`~repro._util.bits.position_dtype` width) as the fast
     default.
     """
 
@@ -98,10 +103,11 @@ class BoundaryArray:
         return self._ef.successor_index(position + 1) - 1
 
     def to_array(self) -> np.ndarray:
-        """Decode to a plain int64 numpy array (persistence, bulk decode).
+        """Decode to a plain numpy array (persistence, bulk decode).
 
-        Free for a plain array; an Elias-Fano one takes a Python step
-        per entry, so callers that need it repeatedly keep the result.
+        Free for a plain array, which comes back as held; an Elias-Fano
+        one decodes to ``int64`` at a Python step per entry, so callers
+        that need it repeatedly keep the result.
         """
         if self._plain is not None:
             return self._plain
@@ -121,9 +127,9 @@ class BoundaryArray:
         from repro.obs.space import SpaceNode
 
         if self._plain is not None:
-            child = SpaceNode("plain_int64", self._plain.nbytes, kind="buffer",
+            child = SpaceNode("plain", self._plain.nbytes, kind="buffer",
                               detail={"dtype": str(self._plain.dtype)})
-            form = "plain-int64"
+            form = "plain"
         else:
             child = self._ef.measure("elias_fano")
             form = "elias-fano"
@@ -146,8 +152,9 @@ class Ring:
     compressed_boundaries:
         Store the ``C`` arrays Elias-Fano encoded (the sdsl
         ``sd_vector`` representation the paper's code uses for
-        ``C_o``) instead of plain int64 arrays: considerably smaller,
-        slightly slower per access.
+        ``C_o``) instead of plain arrays: considerably smaller,
+        slightly slower per access.  A ``C_o`` that shares ``L_s``'s
+        ``class_cum`` stays that shared array, which costs nothing.
     """
 
     def __init__(
@@ -186,10 +193,6 @@ class Ring:
         order_osp = np.lexsort((p_col, s_col, o_col))
         lp_values = p_col[order_osp]
         self.L_p = WaveletMatrix(lp_values, sigma=num_predicates)
-        self.C_o = BoundaryArray(
-            _boundaries(o_col[order_osp], num_nodes, n),
-            compressed_boundaries,
-        )
 
         # L_s: subjects of triples sorted by (p, o); C_p partitions it.
         order_pos = np.lexsort((s_col, o_col, p_col))
@@ -199,6 +202,15 @@ class Ring:
             _boundaries(p_col[order_pos], num_predicates, n),
             compressed_boundaries,
         )
+
+        # C_o counts triples by object, L_s's class_cum by subject: on a
+        # completed graph the two agree entry for entry, and C_o is
+        # that same buffer (cheaper than any encoding of a copy).
+        c_o = _boundaries(o_col[order_osp], num_nodes, n)
+        if np.array_equal(c_o, self.L_s._class_cum):
+            self.C_o = BoundaryArray(self.L_s._class_cum)
+        else:
+            self.C_o = BoundaryArray(c_o, compressed_boundaries)
 
         # L_o: objects of triples sorted by (s, p); C_s partitions it.
         self.L_o: WaveletMatrix | None = None
@@ -491,13 +503,22 @@ class Ring:
 
     def measure(self, name: str = "ring"):
         """Space-audit tree: per-column wavelet matrices and boundary
-        arrays, telescoping exactly to the ring's audited total."""
+        arrays, telescoping exactly to the ring's audited total.  Each
+        buffer counts once: a ``C_o`` that shares ``L_s``'s
+        ``class_cum`` is a 0-byte node naming that table."""
         from repro.obs.space import SpaceNode
 
+        if self.C_o._plain is self.L_s._class_cum:
+            c_o = SpaceNode("C_o", 0, kind="alias",
+                            detail={"form": "alias",
+                                    "shares": "L_s.tables.class_cum",
+                                    "entries": len(self.C_o)})
+        else:
+            c_o = self.C_o.measure("C_o")
         children = [
             self.L_p.measure("L_p"),
             self.L_s.measure("L_s"),
-            self.C_o.measure("C_o"),
+            c_o,
             self.C_p.measure("C_p"),
         ]
         if self.L_o is not None:
@@ -568,10 +589,11 @@ def _boundaries(sorted_keys: np.ndarray, alphabet: int, n: int) -> np.ndarray:
     """Cumulative boundary array: out[x] = #items with key < x.
 
     ``sorted_keys`` must be the key column of the sorted triple order;
-    the result has ``alphabet + 1`` entries with ``out[alphabet] == n``.
+    the result has ``alphabet + 1`` entries with ``out[alphabet] == n``,
+    at :func:`~repro._util.bits.position_dtype` width.
     """
     counts = np.bincount(sorted_keys, minlength=alphabet) if n else \
         np.zeros(alphabet, dtype=np.int64)
-    out = np.zeros(alphabet + 1, dtype=np.int64)
+    out = np.zeros(alphabet + 1, dtype=position_dtype(n))
     np.cumsum(counts, out=out[1:])
     return out

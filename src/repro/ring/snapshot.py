@@ -1,4 +1,4 @@
-"""Zero-copy snapshots of a built ring index (`ring-snapshot/v1`).
+"""Zero-copy snapshots of a built ring index (`ring-snapshot/v2`).
 
 The ring is a small, *immutable* succinct index — exactly the shape
 that one physical copy in ``multiprocessing.shared_memory`` can serve
@@ -22,18 +22,25 @@ The payload is a sequence of 64-byte-aligned numpy buffers.  The
 manifest records, for every buffer, ``{dtype, shape, offset}`` under a
 dotted name:
 
-=====================  =====================================================
-``lp.level{i}.words``  packed ``uint64`` words of L_p's level-``i``
-                       bitvector **plus one zero sentinel word** (the
-                       :meth:`BitVector.batch_data` shape)
-``lp.level{i}.cum64``  the level's ``int64`` rank directory
-``lp.counts`` etc.     L_p's symbol counts / class offsets / bottom starts
-``ls.*`` / ``lo.*``    the same for L_s and (optional) L_o
-``c_o`` ``c_p``        the boundary arrays, plain ``int64`` (an
-``c_s``                Elias-Fano-compressed source ring is decoded once
-                       at snapshot time; attach always yields plain)
-=====================  =====================================================
+========================  ==================================================
+``lp.level{i}.words``     packed ``uint64`` words of L_p's level-``i``
+                          bitvector **plus one zero sentinel word** (the
+                          :meth:`BitVector.batch_data` shape)
+``lp.level{i}.cum``       the level's rank directory, ``uint32`` as the
+                          built bitvector holds it
+``lp.class_cum``          L_p's cumulative symbol counts and the start of
+``lp.bottom_start``       each symbol's run in the bottom sequence
+``ls.*`` / ``lo.*``       the same for L_s and (optional) L_o
+``c_p`` ``c_s``           the boundary arrays, plain (an
+``c_o``                   Elias-Fano-compressed source ring is decoded
+                          once at snapshot time; attach always yields
+                          plain) — ``c_o`` only when it differs from
+                          ``ls.class_cum``; otherwise the manifest's
+                          ``aliases`` maps ``c_o`` to that buffer
+========================  ==================================================
 
+Tables, boundary arrays and directories are as narrow as their
+positions allow (``int32`` tables while the ring's positions fit).
 That is the whole payload: the ring is the only index a serving tier
 loads.  The sparse boolean backend's per-predicate matrices are a
 cache decoded from whichever ring is attached
@@ -41,6 +48,13 @@ cache decoded from whichever ring is attached
 shipped.  Snapshots written before that (same ``v1`` format) also
 carry ``mat.{pid}.*`` buffers and a ``matrix_pids`` list; a reader
 skips both — a buffer nobody asks for is never viewed.
+
+``ring-snapshot/v1`` files and segments keep attaching.  They differ
+from ``v2`` only in width and redundancy: every table, boundary array
+and directory is ``int64``, the directories are named
+``level{i}.cum64``, each column also carries its symbol ``counts``
+(ignored: ``class_cum`` holds the same facts), and ``c_o`` is always a
+buffer of its own.
 
 Structural metadata (``n``, ``sigma`` per column, node/predicate
 labels, the inverse-predicate involution, the serve-layer CRC-32
@@ -57,13 +71,16 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
+from repro._util.bits import position_dtype
 from repro.errors import ConstructionError
 from repro.ring.dictionary import Dictionary
 from repro.ring.ring import BoundaryArray, Ring
 from repro.succinct.bitvector import BitVector
 from repro.succinct.wavelet_matrix import WaveletMatrix
 
-SNAPSHOT_FORMAT = "ring-snapshot/v1"
+SNAPSHOT_FORMAT = "ring-snapshot/v2"
+#: The rank-directory buffer name of each readable format.
+_DIRECTORY = {SNAPSHOT_FORMAT: "cum", "ring-snapshot/v1": "cum64"}
 _ALIGN = 64
 _FILE_MAGIC = b"RPQSNAP1"
 
@@ -81,11 +98,10 @@ def _column_buffers(prefix: str, wm: WaveletMatrix, buffers: dict) -> dict:
     """Collect one wavelet matrix's buffers; return its manifest entry."""
     levels = []
     for i, bv in enumerate(wm._levels):
-        words_ext, cum64, n = bv.batch_data()
+        words_ext, cum, n = bv.batch_data()
         buffers[f"{prefix}.level{i}.words"] = words_ext
-        buffers[f"{prefix}.level{i}.cum64"] = cum64
+        buffers[f"{prefix}.level{i}.cum"] = cum
         levels.append({"n": n})
-    buffers[f"{prefix}.counts"] = wm._counts
     buffers[f"{prefix}.class_cum"] = wm._class_cum
     buffers[f"{prefix}.bottom_start"] = wm._bottom_start
     return {"n": len(wm), "sigma": wm.sigma, "levels": levels}
@@ -124,11 +140,18 @@ def snapshot_index(index):
             "ls": _column_buffers("ls", ring.L_s, buffers),
         },
     }
-    buffers["c_o"] = ring.C_o.to_array().astype(np.int64, copy=False)
-    buffers["c_p"] = ring.C_p.to_array().astype(np.int64, copy=False)
+    # An Elias-Fano array decodes to int64; store it as narrow as a
+    # plain one.  A plain array is written as it is held.
+    width = position_dtype(len(ring))
+    c_o = ring.C_o.to_array()
+    if c_o is ring.L_s._class_cum:
+        manifest["aliases"] = {"c_o": "ls.class_cum"}
+    else:
+        buffers["c_o"] = c_o.astype(width, copy=False)
+    buffers["c_p"] = ring.C_p.to_array().astype(width, copy=False)
     if ring.L_o is not None and ring.C_s is not None:
         manifest["columns"]["lo"] = _column_buffers("lo", ring.L_o, buffers)
-        buffers["c_s"] = ring.C_s.to_array().astype(np.int64, copy=False)
+        buffers["c_s"] = ring.C_s.to_array().astype(width, copy=False)
 
     _lay_out(manifest, buffers)
     return manifest, buffers
@@ -181,10 +204,12 @@ def _buffer_view(manifest: dict, payload, name: str) -> np.ndarray:
 
 def _column_view(prefix: str, meta: dict, manifest: dict,
                  payload) -> WaveletMatrix:
+    directory = _DIRECTORY[manifest["format"]]
     levels = [
         BitVector.from_packed(
             _buffer_view(manifest, payload, f"{prefix}.level{i}.words"),
-            _buffer_view(manifest, payload, f"{prefix}.level{i}.cum64"),
+            _buffer_view(manifest, payload,
+                         f"{prefix}.level{i}.{directory}"),
             level["n"],
         )
         for i, level in enumerate(meta["levels"])
@@ -193,7 +218,6 @@ def _column_view(prefix: str, meta: dict, manifest: dict,
         levels,
         meta["n"],
         meta["sigma"],
-        _buffer_view(manifest, payload, f"{prefix}.counts"),
         _buffer_view(manifest, payload, f"{prefix}.class_cum"),
         _buffer_view(manifest, payload, f"{prefix}.bottom_start"),
     )
@@ -206,19 +230,23 @@ def attach_index(manifest: dict, payload):
     shared-memory ``buf``, an ``mmap``, or plain ``bytes``.  Nothing is
     copied; the caller is responsible for keeping ``payload`` alive as
     long as the index (the public entry points pin it on the returned
-    object as ``_snapshot_source``).
+    object as ``_snapshot_source``).  Reads ``v2`` and ``v1`` manifests.
     """
-    if manifest.get("format") != SNAPSHOT_FORMAT:
+    if manifest.get("format") not in _DIRECTORY:
         raise ConstructionError(
             f"unsupported snapshot format {manifest.get('format')!r}; "
-            f"expected {SNAPSHOT_FORMAT!r}"
+            f"expected one of {sorted(_DIRECTORY)!r}"
         )
     from repro.ring.builder import RingIndex
 
     cols = manifest["columns"]
     L_p = _column_view("lp", cols["lp"], manifest, payload)
     L_s = _column_view("ls", cols["ls"], manifest, payload)
-    C_o = BoundaryArray(_buffer_view(manifest, payload, "c_o"))
+    if manifest.get("aliases", {}).get("c_o") == "ls.class_cum":
+        # The very array L_s holds, so the ring audits it once.
+        C_o = BoundaryArray(L_s._class_cum)
+    else:
+        C_o = BoundaryArray(_buffer_view(manifest, payload, "c_o"))
     C_p = BoundaryArray(_buffer_view(manifest, payload, "c_p"))
     L_o = C_s = None
     if "lo" in cols:

@@ -75,16 +75,17 @@ class BitVector:
     # ------------------------------------------------------------------
 
     @classmethod
-    def from_packed(cls, words_ext: np.ndarray, cum64: np.ndarray,
+    def from_packed(cls, words_ext: np.ndarray, cum: np.ndarray,
                     n: int) -> "BitVector":
         """Wrap externally owned packed buffers without copying.
 
         This is the *view* construction path used by the shared-memory
         snapshot plane (:mod:`repro.ring.snapshot`): ``words_ext`` is
         the ``uint64`` payload **plus one zero sentinel word** and
-        ``cum64`` the ``int64`` rank directory — exactly what
-        :meth:`batch_data` exports — and every kernel runs directly on
-        the caller's buffers (typically views over one
+        ``cum`` the rank directory, at the width the built vector holds
+        it (``uint32``; an old snapshot's ``int64`` works the same) —
+        exactly what :meth:`batch_data` exports — and every kernel runs
+        directly on the caller's buffers (typically views over one
         ``multiprocessing.shared_memory`` segment or an ``mmap``-ed
         file).  The Python-int mirrors that back the scalar hot paths
         are materialised lazily on first scalar access, so a worker
@@ -94,15 +95,15 @@ class BitVector:
         The buffers must be treated as immutable; nothing is validated
         beyond the length arithmetic.
         """
-        if len(words_ext) != len(cum64):
+        if len(words_ext) != len(cum):
             raise InvariantViolation(
                 "words_ext must carry exactly one sentinel word "
-                f"({len(words_ext)} words vs {len(cum64)} directory entries)"
+                f"({len(words_ext)} words vs {len(cum)} directory entries)"
             )
         self = cls.__new__(cls)
         self._n = int(n)
         self._words = words_ext[:-1]
-        self._cum = cum64
+        self._cum = cum
         self._words_ext = words_ext
         # _words_py / _cum_py deliberately left unset: __getattr__
         # materialises them on first scalar-path access.
@@ -191,19 +192,20 @@ class BitVector:
         return count
 
     def batch_data(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """The packed export ``(words_ext, cum64, n)`` that
+        """The packed export ``(words_ext, cum, n)`` that
         :meth:`from_packed` accepts: the payload plus one zero sentinel
-        word, and the rank directory as ``int64``.
+        word, and the rank directory as held.
 
-        A view hands back the buffers it wraps; a built vector makes
-        the two arrays for the caller and keeps neither, so exporting
-        (a snapshot flatten) leaves its audited size as it was.
+        A view hands back the buffers it wraps.  A built vector makes
+        the sentinel-extended payload for the caller and does not keep
+        it, so exporting (a snapshot flatten) leaves its audited size
+        as it was; the directory is the vector's own array either way.
         """
         if self._words_ext is not None:
             return self._words_ext, self._cum, self._n
         return (
             np.concatenate((self._words, np.zeros(1, dtype=np.uint64))),
-            self._cum.astype(np.int64),
+            self._cum,
             self._n,
         )
 

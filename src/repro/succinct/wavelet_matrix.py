@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 import numpy as np
 
-from repro._util.bits import rank1_many_words
+from repro._util.bits import position_dtype, rank1_many_words
 from repro.errors import ConstructionError
 from repro.succinct.bitvector import BitVector
 
@@ -53,7 +53,7 @@ class WaveletMatrix:
     """
 
     __slots__ = ("_n", "_sigma", "_height", "_levels", "_zeros",
-                 "_counts", "_bottom_start", "_class_cum")
+                 "_bottom_start", "_class_cum")
 
     def __init__(self, values: Iterable[int] | np.ndarray, sigma: int | None = None):
         seq = np.asarray(
@@ -92,16 +92,19 @@ class WaveletMatrix:
         if seq.size:
             binc = np.bincount(seq, minlength=self._sigma)
             counts[: len(binc)] = binc
-        self._counts = counts
-        # Numeric-order cumulative counts; used to answer "how many
-        # sequence positions fall under conceptual node v" in O(1).
-        class_cum = np.zeros(self._sigma + 1, dtype=np.int64)
+        # Numeric-order cumulative counts: symbol c occurs
+        # ``class_cum[c + 1] - class_cum[c]`` times, and a conceptual
+        # node v covers ``class_cum[hi] - class_cum[lo]`` positions, in
+        # O(1).  Both tables hold positions ``0..n``, so they take the
+        # narrowest signed width that does.
+        width = position_dtype(self._n)
+        class_cum = np.zeros(self._sigma + 1, dtype=width)
         np.cumsum(counts, out=class_cum[1:])
         self._class_cum = class_cum
         # Start offset of each symbol's run in the (conceptual) bottom
         # sequence.  The matrix partitions by MSB first and LSB last, so
         # the bottom orders symbols by their *bit-reversed* value.
-        bottom_start = np.zeros(self._sigma, dtype=np.int64)
+        bottom_start = np.zeros(self._sigma, dtype=width)
         order = sorted(
             range(self._sigma), key=lambda c: _bit_reverse(c, self._height)
         )
@@ -117,7 +120,6 @@ class WaveletMatrix:
         levels: "list[BitVector]",
         n: int,
         sigma: int,
-        counts: np.ndarray,
         class_cum: np.ndarray,
         bottom_start: np.ndarray,
     ) -> "WaveletMatrix":
@@ -125,10 +127,10 @@ class WaveletMatrix:
 
         The *view* construction path of the snapshot plane: ``levels``
         are (typically :meth:`BitVector.from_packed`-constructed) level
-        bitvectors and the three per-symbol tables are externally owned
-        ``int64`` arrays — nothing is copied or recomputed except the
-        per-level zero counts, which are O(height) reads off the rank
-        directories.  All arrays must be treated as immutable.
+        bitvectors and the two per-symbol tables are externally owned
+        integer arrays of any width — nothing is copied or recomputed
+        except the per-level zero counts, which are O(height) reads off
+        the rank directories.  All arrays must be treated as immutable.
         """
         height = max(1, (int(sigma) - 1).bit_length())
         if len(levels) != height:
@@ -142,7 +144,6 @@ class WaveletMatrix:
         self._height = height
         self._levels = list(levels)
         self._zeros = [bv.num_zeros for bv in levels]
-        self._counts = counts
         self._class_cum = class_cum
         self._bottom_start = bottom_start
         return self
@@ -167,7 +168,7 @@ class WaveletMatrix:
     def count(self, symbol: int) -> int:
         """Total occurrences of ``symbol`` in the sequence."""
         self._check_symbol(symbol)
-        return int(self._counts[symbol])
+        return int(self._class_cum[symbol + 1]) - int(self._class_cum[symbol])
 
     # ------------------------------------------------------------------
     # access / rank / select
@@ -231,11 +232,10 @@ class WaveletMatrix:
 
     def select(self, symbol: int, j: int) -> int:
         """Position of the ``j``-th (0-based) occurrence of ``symbol``."""
-        self._check_symbol(symbol)
-        if j < 0 or j >= self._counts[symbol]:
+        occurrences = self.count(symbol)
+        if j < 0 or j >= occurrences:
             raise IndexError(
-                f"select({symbol}, {j}): only {int(self._counts[symbol])} "
-                "occurrences"
+                f"select({symbol}, {j}): only {occurrences} occurrences"
             )
         # Walk up from the bottom occurrence back to the top level.
         pos = int(self._bottom_start[symbol]) + j
@@ -303,7 +303,9 @@ class WaveletMatrix:
         matrix.
         """
         self._check_symbol(symbol)
-        pos = np.clip(np.asarray(positions, dtype=np.int64), 0, self._n)
+        pos = np.minimum(
+            np.maximum(np.asarray(positions, dtype=np.int64), 0), self._n
+        )
         for level, (words, cum, n_bits) in enumerate(self._held_levels()):
             ranks = rank1_many_words(words, cum, n_bits, pos)
             if (symbol >> (self._height - 1 - level)) & 1:
@@ -344,9 +346,9 @@ class WaveletMatrix:
 
         Returns ``(levels, zeros, height, sigma, class_cum,
         bottom_start)`` where ``levels[l]`` is the level's
-        :meth:`BitVector.batch_data` triple ``(words_ext, cum64,
+        :meth:`BitVector.batch_data` triple ``(words_ext, cum,
         n_bits)``.  Nothing is cached: on a built matrix every call
-        makes the level arrays anew, so kernels read
+        makes the sentinel-extended words anew, so kernels read
         :meth:`_held_levels` instead.
         """
         return (
@@ -399,8 +401,8 @@ class WaveletMatrix:
             return empty, empty, empty, empty
         origin = np.arange(len(arr), dtype=np.int64)
         prefix = np.zeros(len(arr), dtype=np.int64)
-        b = np.clip(arr[:, 0], 0, self._n)
-        e = np.clip(arr[:, 1], 0, self._n)
+        b = np.minimum(np.maximum(arr[:, 0], 0), self._n)
+        e = np.minimum(np.maximum(arr[:, 1], 0), self._n)
         for level, (words, cum, n_bits) in enumerate(self._held_levels()):
             keep = e > b
             if prune_fn is not None and keep.any():
@@ -560,8 +562,9 @@ class WaveletMatrix:
     def measure(self, name: str = "wavelet_matrix"):
         """Space-audit node: per-level bitvectors plus the symbol tables.
 
-        Every allocated buffer counts, the derived ``class_cum`` prefix
-        sums included, so audited totals telescope to real memory.
+        Every allocated buffer counts, so audited totals telescope to
+        real memory.  A ring whose ``C_o`` shares ``class_cum`` counts
+        that buffer here, and its ``C_o`` node as 0 bytes.
         """
         from repro.obs.space import SpaceNode
 
@@ -572,12 +575,12 @@ class WaveletMatrix:
             SpaceNode(
                 "tables",
                 children=[
-                    SpaceNode("counts", self._counts.nbytes, kind="buffer",
-                              detail={"dtype": "int64"}),
-                    SpaceNode("class_cum", self._class_cum.nbytes,
-                              kind="buffer", detail={"dtype": "int64"}),
-                    SpaceNode("bottom_start", self._bottom_start.nbytes,
-                              kind="buffer", detail={"dtype": "int64"}),
+                    SpaceNode(table, array.nbytes, kind="buffer",
+                              detail={"dtype": str(array.dtype)})
+                    for table, array in (
+                        ("class_cum", self._class_cum),
+                        ("bottom_start", self._bottom_start),
+                    )
                 ],
                 kind="symbol_tables",
             )

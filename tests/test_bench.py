@@ -284,10 +284,14 @@ class TestSpace:
             for name in ("alp-jena", "alp-blazegraph",
                          "seminaive-virtuoso")
         ]
-        # paper: 3-5x; our structures carry Python-level directory
-        # overhead, so allow a wider band, but the win must be clear.
+        # paper: 3-5x; the win over every modelled system must be clear.
         assert min(ratios) > 2.5
-        assert max(ratios) < 12
+        # The modelled systems are constants, so an upper bound on the
+        # ratio would only cap how small the ring may get.  Bound the
+        # ring by the paper's scale-free yardstick instead: never below
+        # the packed triples, at most 3x them (the paper reports ~1.9x).
+        packed = packed_bytes_per_edge(index)
+        assert packed <= ring_size <= 3 * packed
 
     def test_packed_and_working(self, index):
         assert packed_bytes_per_edge(index) > 0

@@ -70,6 +70,38 @@ class TestBudget:
             for _ in range(_TICK_EVERY + 1):
                 budget.tick()
 
+    @pytest.mark.parametrize("start", [0, 1, _TICK_EVERY - 1, _TICK_EVERY])
+    @pytest.mark.parametrize("n", [0, 1, _TICK_EVERY - 1, _TICK_EVERY,
+                                   3 * _TICK_EVERY + 1, 1024])
+    def test_counted_tick_matches_single_ticks(self, start, n):
+        """``tick(n)`` is ``n`` ticks with no work between them: the
+        same count afterwards, and under an expired deadline it raises
+        exactly when the first of them would."""
+        single, counted = _Budget(None), _Budget(None)
+        for _ in range(start):
+            single.tick()
+            counted.tick()
+        for _ in range(n):
+            single.tick()
+        counted.tick(n)
+        assert counted.ticks == single.ticks == start + n
+
+        single, counted = _Budget(None), _Budget(None)
+        single.ticks = counted.ticks = start
+        single.deadline = counted.deadline = single.start - 1.0
+        single_raised = False
+        try:
+            for _ in range(n):
+                single.tick()
+        except QueryTimeoutError:
+            single_raised = True
+        if single_raised:
+            with pytest.raises(QueryTimeoutError):
+                counted.tick(n)
+        else:
+            counted.tick(n)
+        assert counted.ticks == start + n
+
     def test_ticks_are_throttled(self):
         token = TripAfter(0)
         budget = _Budget(None, cancel=token)

@@ -124,8 +124,38 @@ class TestBoundaryArray:
         assert sorted(plain.iter_triples()) == sorted(packed.iter_triples())
         for o in range(3):
             assert plain.object_range(o) == packed.object_range(o)
-        assert packed.measure().find("ring.C_o").detail["form"] \
+        # Every node here is a subject as often as an object, so C_o is
+        # L_s's class_cum in both rings; C_p carries the encoding.
+        assert packed.measure().find("ring.C_p").detail["form"] \
             == "elias-fano"
+
+
+class TestObjectBoundaries:
+    def test_non_completed_ring_keeps_its_own_c_o(self):
+        """Hand-built triples where subject and object counts differ:
+        C_o cannot be L_s's class_cum, so the ring keeps (and audits)
+        an array of its own, and object ranges follow the objects."""
+        triples = [(0, 0, 1), (0, 1, 2), (0, 0, 2), (1, 1, 2)]
+        ring = Ring(triples, 3, 2)
+        assert ring.C_o._plain is not ring.L_s._class_cum
+        by_object = sorted(triples, key=lambda t: (t[2], t[0], t[1]))
+        for o in range(3):
+            b, e = ring.object_range(o)
+            assert [t[2] for t in by_object[b:e]] == [o] * (e - b)
+            assert e - b == sum(1 for t in triples if t[2] == o)
+            assert sorted(ring.L_p.access(i) for i in range(b, e)) == \
+                sorted(t[1] for t in triples if t[2] == o)
+        node = ring.measure().find("ring.C_o")
+        assert node.detail["form"] == "plain" and node.nbytes > 0
+        assert sorted(ring.iter_triples()) == sorted(triples)
+
+    def test_completed_ring_shares_c_o_with_class_cum(self):
+        triples = [(0, 0, 1), (1, 1, 0), (1, 0, 2), (2, 1, 1)]
+        ring = Ring(triples, 3, 2)
+        assert ring.C_o._plain is ring.L_s._class_cum
+        assert ring.measure().find("ring.C_o").nbytes == 0
+        assert [ring.object_range(o) for o in range(3)] == \
+            [(0, 1), (1, 3), (3, 4)]
 
 
 class TestTimeoutInjection:

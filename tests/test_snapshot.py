@@ -1,4 +1,4 @@
-"""The shared-memory / mmap snapshot plane (``ring-snapshot/v1``).
+"""The shared-memory / mmap snapshot plane (``ring-snapshot/v2``).
 
 The contract under test: a snapshot *attach* reconstructs views — not
 copies — of the ring and its wavelet-matrix columns, and an engine
@@ -76,18 +76,20 @@ class TestManifest:
     def test_buffers_are_views_not_copies(self, kg_index):
         """Flattening reuses the arrays the index holds (the single
         copy happens at segment/file write time, not here): the symbol
-        tables of a built ring and, on an attached one, the packed
-        level buffers too.  A built level holds no packed form — its
-        export is made for the flatten and kept by nobody."""
+        tables and rank directories of a built ring and, on an
+        attached one, the packed level buffers too.  A built level
+        holds no sentinel-extended payload — its export is made for
+        the flatten and kept by nobody."""
         manifest, buffers = snapshot_index(kg_index)
-        assert buffers["lp.counts"] is kg_index.ring.L_p._counts
+        assert buffers["lp.class_cum"] is kg_index.ring.L_p._class_cum
+        assert buffers["lp.level0.cum"] is kg_index.ring.L_p._levels[0]._cum
         payload = bytearray(manifest["total_bytes"])
         _write_payload(manifest, buffers, payload)
         attached = attach_index(manifest, payload)
         _, again = snapshot_index(attached)
         level = attached.ring.L_p._levels[0]
         assert again["lp.level0.words"] is level._words_ext
-        assert again["lp.level0.cum64"] is level._cum
+        assert again["lp.level0.cum"] is level._cum
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.snap"
@@ -198,14 +200,29 @@ class TestFilePlane:
 
 def _write_legacy_snapshot(index, path) -> dict:
     """A ``ring-snapshot/v1`` file as written while snapshots still
-    shipped the compiled matrices: the ring's buffers, then
-    ``mat.{pid}.indptr/indices/data`` per predicate, and the
-    ``matrix_pids`` list.  The CSR triplets here are deliberately
-    wrong (every edge in column 0): a reader that resurrected them
-    instead of decoding from the ring would answer differently.
+    shipped the compiled matrices: the ring's buffers in the v1
+    layout — every table, boundary array and rank directory ``int64``,
+    the directories named ``cum64``, each column's symbol ``counts``
+    and a ``c_o`` of its own — then ``mat.{pid}.indptr/indices/data``
+    per predicate, and the ``matrix_pids`` list.  The CSR triplets
+    here are deliberately wrong (every edge in column 0): a reader
+    that resurrected them instead of decoding from the ring would
+    answer differently.
     """
-    manifest, buffers = snapshot_index(index)
+    manifest, current = snapshot_index(index)
     ring = index.ring
+    buffers = {}
+    for name, array in current.items():
+        if name.endswith(".words"):
+            buffers[name] = array
+        else:
+            buffers[name + "64" if name.endswith(".cum") else name] = \
+                array.astype(np.int64)
+    for prefix, wm in (("lp", ring.L_p), ("ls", ring.L_s)):
+        buffers[f"{prefix}.counts"] = np.diff(wm._class_cum).astype(np.int64)
+    buffers["c_o"] = ring.C_o.to_array().astype(np.int64)
+    manifest["format"] = "ring-snapshot/v1"
+    manifest.pop("aliases", None)
     pids = [p for p in range(ring.num_predicates) if ring.predicate_count(p)]
     for pid in pids:
         nnz = ring.predicate_count(pid)
@@ -270,6 +287,50 @@ class TestLegacyMatrixSnapshots:
         )
 
 
+class TestV1Layout:
+    """``ring-snapshot/v1`` files and segments — int64 tables and
+    directories, per-column ``counts``, a separate ``c_o`` — attach
+    and answer exactly like the index they were written from."""
+
+    def test_v1_file_loads_and_answers_identically(self, kg_index, tmp_path):
+        path = tmp_path / "v1.snap"
+        manifest = _write_legacy_snapshot(kg_index, path)
+        table = manifest["buffers"]
+        assert manifest["format"] == "ring-snapshot/v1" != SNAPSHOT_FORMAT
+        assert {"lp.counts", "ls.counts", "c_o"} <= set(table)
+        assert table["lp.level0.cum64"]["dtype"] == "<i8"
+        assert "lp.level0.cum" not in table
+        for mmap in (True, False):
+            loaded = load_snapshot(path, mmap=mmap)
+            assert loaded.ring.L_p._levels[0]._cum.dtype == np.int64
+            assert _fingerprints(loaded) == _fingerprints(kg_index)
+
+    def test_v1_manifest_audits(self, kg_index, tmp_path):
+        from repro.obs.space import audit_manifest
+
+        manifest = _write_legacy_snapshot(kg_index, tmp_path / "v1.snap")
+        audit = audit_manifest(manifest)
+        audit.check()
+        assert audit.nbytes == manifest["total_bytes"]
+        assert audit.find("snapshot.c_o").nbytes == \
+            8 * (kg_index.ring.num_nodes + 1)
+
+    def test_v2_drops_what_v1_repeated(self, kg_index, tmp_path):
+        manifest, buffers = snapshot_index(kg_index)
+        assert not any(name.endswith(".counts") for name in buffers)
+        assert "c_o" not in buffers
+        assert manifest["aliases"] == {"c_o": "ls.class_cum"}
+        assert buffers["lp.level0.cum"].dtype == np.uint32
+        assert buffers["ls.class_cum"].dtype == np.int32
+        v1 = _write_legacy_snapshot(kg_index, tmp_path / "v1.snap")
+        ring_only = sum(
+            np.dtype(meta["dtype"]).itemsize * int(np.prod(meta["shape"]))
+            for name, meta in v1["buffers"].items()
+            if not name.startswith("mat.")
+        )
+        assert manifest["total_bytes"] < ring_only
+
+
 class TestViewConstruction:
     def test_bitvector_view_parity(self, kg_index):
         bv = kg_index.ring.L_p._levels[0]
@@ -305,8 +366,7 @@ class TestViewConstruction:
         with pytest.raises(ConstructionError, match="levels"):
             WaveletMatrix.from_parts(
                 wm._levels[:1] * (wm.height + 1),
-                len(wm), wm.sigma, wm._counts, wm._class_cum,
-                wm._bottom_start,
+                len(wm), wm.sigma, wm._class_cum, wm._bottom_start,
             )
 
 

@@ -174,12 +174,11 @@ class TestWaveletMatrixMeasure:
         wm = RingIndex.from_graph(kg_graph).ring.L_p
         node = wm.measure("L_p")
         node.check()
-        # One node per level bit-vector, then the three symbol tables.
+        # One node per level bit-vector, then the two symbol tables.
         assert [c.name for c in node.children] == [
             f"level{i}" for i in range(len(wm._levels))
         ] + ["tables"]
         tables = {
-            "counts": wm._counts,
             "class_cum": wm._class_cum,
             "bottom_start": wm._bottom_start,
         }
@@ -203,13 +202,44 @@ class TestRingMeasure:
         names = {c.name for c in node.children}
         assert {"L_p", "L_s", "C_o", "C_p"} <= names
 
+    @pytest.mark.parametrize("form", ["built", "attached"])
+    def test_total_counts_each_distinct_buffer_once(self, kg_index, form):
+        """The audited total is the sum over the ring's distinct numpy
+        buffers, told apart by identity: the C_o that shares L_s's
+        class_cum adds nothing, and a view's payload slice rides in
+        its sentinel-extended buffer."""
+        ring = kg_index.ring
+        if form == "attached":
+            manifest, buffers = snapshot_index(kg_index)
+            payload = bytearray(manifest["total_bytes"])
+            _write_payload(manifest, buffers, payload)
+            ring = attach_index(manifest, payload).ring
+        arrays = []
+        for wm in (ring.L_p, ring.L_s):
+            for bv in wm._levels:
+                view = bv._words_ext is not None
+                arrays += [bv._words_ext if view else bv._words, bv._cum]
+            arrays += [wm._class_cum, wm._bottom_start]
+        arrays += [ring.C_o._plain, ring.C_p._plain]
+        distinct = {id(array): array for array in arrays}
+        assert len(distinct) == len(arrays) - 1  # C_o is class_cum
+        assert ring.C_o._plain is ring.L_s._class_cum
+        assert ring.measure().nbytes == sum(
+            array.nbytes for array in distinct.values()
+        )
+
     def test_compressed_boundaries_show_elias_fano(self, kg_graph):
         index = RingIndex.from_graph(kg_graph, compressed_boundaries=True)
         node = index.ring.measure("ring")
         node.check()
-        ef = node.find("ring.C_o.elias_fano")
+        # Elias-Fano encodes C_p; C_o shares L_s's class_cum, which
+        # costs nothing, so no encoding of it can be smaller.
+        ef = node.find("ring.C_p.elias_fano")
         assert ef is not None
-        assert node.find("ring.C_o").detail.get("form") == "elias-fano"
+        assert node.find("ring.C_p").detail.get("form") == "elias-fano"
+        alias = node.find("ring.C_o")
+        assert alias.nbytes == 0 and alias.detail["form"] == "alias"
+        assert index.ring.C_o._plain is index.ring.L_s._class_cum
 
     def test_audit_index_covers_dictionary(self, kg_index):
         root = kg_index.measure()

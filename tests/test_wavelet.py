@@ -227,12 +227,12 @@ def test_matrix_matches_tree(data, sigma):
 
 def _view_of(wm: WaveletMatrix) -> WaveletMatrix:
     """The same matrix reassembled from packed level buffers, the way a
-    snapshot attaches it (``int64`` directories, sentinel words)."""
+    snapshot attaches it (sentinel words, the directories as built)."""
     from repro.succinct.bitvector import BitVector
 
     return WaveletMatrix.from_parts(
         [BitVector.from_packed(*bv.batch_data()) for bv in wm._levels],
-        len(wm), wm.sigma, wm._counts, wm._class_cum, wm._bottom_start,
+        len(wm), wm.sigma, wm._class_cum, wm._bottom_start,
     )
 
 
